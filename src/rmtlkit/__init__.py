@@ -10,7 +10,6 @@ from .data import (
     GROUP_TREATMENT,
     EventTable,
     GroupSample,
-    SubjectRecord,
     TwoGroupSample,
     build_event_table,
     ingest_csv,
@@ -29,7 +28,7 @@ from .errors import (
     SchemaError,
     SimulationError,
 )
-from .estimators import CifPair, cif, cif_pair, curve_rows, km_survival
+from .estimators import CifPair, cif_pair, curve_rows
 from .inference import (
     GrayResult,
     RmtlEstimate,
@@ -48,14 +47,13 @@ from .scenarios import (
     true_rmtld,
 )
 from .simulate import (
-    ReplicateOutcome,
     SimulationReport,
     run_estimation_study,
     run_power_study,
     run_replicate,
     run_samplesize_validation,
 )
-from .stepfun import StepFunction, integrate_step
+from .stepfun import integrate_step
 
 __version__ = "0.1.0"
 
@@ -65,17 +63,13 @@ __all__ = [
     "EVENT_COMPETING",
     "GROUP_CONTROL",
     "GROUP_TREATMENT",
-    "SubjectRecord",
     "GroupSample",
     "TwoGroupSample",
     "EventTable",
     "build_event_table",
     "select_tau",
     "ingest_csv",
-    "StepFunction",
     "integrate_step",
-    "km_survival",
-    "cif",
     "cif_pair",
     "CifPair",
     "curve_rows",
@@ -97,7 +91,6 @@ __all__ = [
     "generate_group",
     "calibrate_censoring",
     "true_rmtld",
-    "ReplicateOutcome",
     "SimulationReport",
     "run_replicate",
     "run_estimation_study",

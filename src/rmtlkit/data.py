@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,6 @@ EVENT_COMPETING = 2
 
 GROUP_CONTROL = 0
 GROUP_TREATMENT = 1
-
-
-class SubjectRecord(NamedTuple):
-    """One subject: observed time, event code (0/1/2), group label (0/1)."""
-
-    time: float
-    event: int
-    group: int
 
 
 def _validate_arrays(time, event):
@@ -87,24 +78,6 @@ class GroupSample:
     @property
     def n_events(self) -> int:
         return int(np.count_nonzero(self.event))
-
-    def records(self) -> list[SubjectRecord]:
-        return [
-            SubjectRecord(float(t), int(e), self.group)
-            for t, e in zip(self.time, self.event)
-        ]
-
-    @classmethod
-    def from_records(cls, records, group=None) -> "GroupSample":
-        records = list(records)
-        if group is None:
-            groups = {r[2] for r in records} if records and len(records[0]) > 2 else set()
-            if len(groups) > 1:
-                raise ValueError("records span multiple groups")
-            group = groups.pop() if groups else GROUP_CONTROL
-        time = np.array([r[0] for r in records], dtype=float)
-        event = np.array([r[1] for r in records], dtype=np.int64)
-        return cls(time, event, group)
 
 
 @dataclass(frozen=True)
@@ -186,16 +159,6 @@ def select_tau(sample0: GroupSample, sample1: GroupSample) -> float:
     return min(sample0.max_followup, sample1.max_followup)
 
 
-@dataclass
-class _ParsedRows:
-    """Intermediate ingestion result, before group-level validation."""
-
-    by_group: dict = field(default_factory=dict)
-
-    def groups(self):
-        return sorted(self.by_group)
-
-
 def _parse_csv_rows(
     source,
     time_col,
@@ -222,7 +185,7 @@ def _parse_csv_rows(
     event_map = {str(k): v for k, v in (event_codes or {}).items()}
     group_map = {str(k): v for k, v in (group_codes or {}).items()}
 
-    parsed = _ParsedRows()
+    by_group = {}
     try:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -262,17 +225,36 @@ def _parse_csv_rows(
                     ) from None
                 if g not in (GROUP_CONTROL, GROUP_TREATMENT):
                     raise RowError(rownum, f"group code {g} outside {{0,1}}")
-            parsed.by_group.setdefault(g, []).append((t, e))
+            by_group.setdefault(g, []).append((t, e))
     finally:
         if close:
             handle.close()
-    return parsed
+    return by_group
 
 
 def _group_from_rows(rows, group):
     time = np.array([r[0] for r in rows], dtype=float)
     event = np.array([r[1] for r in rows], dtype=np.int64)
     return GroupSample(time, event, group)
+
+
+def _samples_from_groups(by_group: dict, allow_single: bool):
+    """Assemble parsed rows into samples: the one arm present when
+    ``allow_single`` permits it, otherwise both arms with at least 2
+    subjects each (an empty file has neither)."""
+    if allow_single and len(by_group) == 1:
+        ((g, rows),) = by_group.items()
+        return _group_from_rows(rows, g)
+    for g in (GROUP_CONTROL, GROUP_TREATMENT):
+        if len(by_group.get(g, [])) < 2:
+            raise SampleSizeError(
+                f"group {g} has {len(by_group.get(g, []))} subject(s); "
+                "at least 2 required in each arm"
+            )
+    return TwoGroupSample(
+        control=_group_from_rows(by_group[GROUP_CONTROL], GROUP_CONTROL),
+        treatment=_group_from_rows(by_group[GROUP_TREATMENT], GROUP_TREATMENT),
+    )
 
 
 def ingest_csv(
@@ -294,19 +276,10 @@ def ingest_csv(
     (with a 1-based data-row number) for invalid cells, and
     :class:`SampleSizeError` when either arm has fewer than 2 subjects.
     """
-    parsed = _parse_csv_rows(
+    by_group = _parse_csv_rows(
         source, time_col, event_col, group_col, event_codes, group_codes
     )
-    for g in (GROUP_CONTROL, GROUP_TREATMENT):
-        if len(parsed.by_group.get(g, [])) < 2:
-            raise SampleSizeError(
-                f"group {g} has {len(parsed.by_group.get(g, []))} subject(s); "
-                "at least 2 required in each arm"
-            )
-    return TwoGroupSample(
-        control=_group_from_rows(parsed.by_group[GROUP_CONTROL], GROUP_CONTROL),
-        treatment=_group_from_rows(parsed.by_group[GROUP_TREATMENT], GROUP_TREATMENT),
-    )
+    return _samples_from_groups(by_group, allow_single=False)
 
 
 def ingest_single_group_csv(
@@ -321,22 +294,10 @@ def ingest_single_group_csv(
 
     Returns a :class:`TwoGroupSample` when both arms are present,
     otherwise the single :class:`GroupSample`. Used by the CLI so a
-    one-group file still gets a descriptive analysis.
+    one-group file still gets a descriptive analysis. Raises
+    :class:`SampleSizeError` for a file without data rows.
     """
-    parsed = _parse_csv_rows(
+    by_group = _parse_csv_rows(
         source, time_col, event_col, group_col, event_codes, group_codes
     )
-    groups = parsed.groups()
-    if len(groups) == 1:
-        g = groups[0]
-        return _group_from_rows(parsed.by_group[g], g)
-    for g in groups:
-        if len(parsed.by_group[g]) < 2:
-            raise SampleSizeError(
-                f"group {g} has {len(parsed.by_group[g])} subject(s); "
-                "at least 2 required in each arm"
-            )
-    return TwoGroupSample(
-        control=_group_from_rows(parsed.by_group[GROUP_CONTROL], GROUP_CONTROL),
-        treatment=_group_from_rows(parsed.by_group[GROUP_TREATMENT], GROUP_TREATMENT),
-    )
+    return _samples_from_groups(by_group, allow_single=True)

@@ -1,8 +1,9 @@
 """Nonparametric estimators: all-cause Kaplan-Meier survival and
 cause-specific cumulative incidence (Aalen-Johansen form).
 
-Both are exact step functions, so restricted means are computed by
-exact integration rather than quadrature.
+All three curves are exact step functions on the group's event times,
+so restricted means are computed by exact integration rather than
+quadrature.
 """
 
 from __future__ import annotations
@@ -12,88 +13,84 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventTable, GroupSample, build_event_table
-from .stepfun import StepFunction, integrate_step
+from .stepfun import integrate_step
 
-__all__ = ["CifPair", "km_survival", "cif", "cif_pair", "curve_rows", "integrate_step"]
+__all__ = ["CifPair", "cif_pair", "curve_rows", "integrate_step"]
 
-
-def _km_values(table: EventTable):
-    d = table.d1 + table.d2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = 1.0 - d / table.at_risk
-    return np.clip(np.cumprod(factors), 0.0, 1.0)
-
-
-def km_survival(table: EventTable, n: int) -> StepFunction:
-    """All-cause Kaplan-Meier survival curve from an event table.
-
-    Returns the step function S(t) = prod_{t_i <= t} (1 - d_i / Y_i)
-    with S = 1 before the first event time. Censoring enters only
-    through the risk sets already folded into the table.
-    """
-    return StepFunction(table.times, _km_values(table), initial=1.0)
-
-
-def cif(table: EventTable, n: int, cause: int) -> StepFunction:
-    """Cumulative incidence of one cause.
-
-    F_j(t) sums (d_ij / Y_i) * S(t_i-) over event times t_i <= t, where
-    S(t_i-) is the Kaplan-Meier value just before t_i (1 at the first
-    event time).
-    """
-    if cause not in (1, 2):
-        raise ValueError("cause must be 1 or 2")
-    surv = _km_values(table)
-    s_left = np.concatenate(([1.0], surv[:-1]))
-    d = table.d1 if cause == 1 else table.d2
-    jumps = (d / table.at_risk) * s_left
-    return StepFunction(table.times, np.clip(np.cumsum(jumps), 0.0, 1.0), initial=0.0)
+# value of each curve before the first event time
+_INITIAL = {"survival": 1.0, "cif1": 0.0, "cif2": 0.0}
 
 
 @dataclass(frozen=True)
 class CifPair:
     """Survival plus both cause-specific incidence curves of one group.
 
-    At every knot, cif1 + cif2 + survival = 1 up to floating-point
-    accumulation (checked to 1e-10 at construction).
+    ``survival[i]``, ``cif1[i]`` and ``cif2[i]`` are the right-continuous
+    values at ``table.times[i]``; before the first event time S = 1 and
+    F1 = F2 = 0. At every knot, cif1 + cif2 + survival = 1 up to
+    floating-point accumulation (checked to 1e-10 at construction).
     """
 
-    survival: StepFunction
-    cif1: StepFunction
-    cif2: StepFunction
     table: EventTable
-    n: int
+    survival: np.ndarray
+    cif1: np.ndarray
+    cif2: np.ndarray
 
     def __post_init__(self):
-        t = self.table.times
-        if t.size:
-            total = self.cif1(t) + self.cif2(t) + self.survival(t)
+        for curve in (self.survival, self.cif1, self.cif2):
+            curve.setflags(write=False)
+        if self.table.n_times:
+            total = self.cif1 + self.cif2 + self.survival
             if np.max(np.abs(total - 1.0)) > 1e-10:
                 raise ValueError("cif1 + cif2 + survival must equal 1 at all knots")
 
+    def at(self, t):
+        """(S(t), F1(t), F2(t)): the values at the last event time <= t,
+        for a scalar or an array ``t``."""
+        i = np.searchsorted(self.table.times, t, side="right") - 1
+        before = i < 0
+        i = np.maximum(i, 0)
+        empty = self.table.n_times == 0
+        return tuple(
+            np.where(before, initial, 0.0 if empty else getattr(self, name)[i])[()]
+            for name, initial in _INITIAL.items()
+        )
 
-def cif_pair(sample: GroupSample, table: EventTable | None = None) -> CifPair:
-    """Build the full estimator triple for one group."""
-    if table is None:
-        table = build_event_table(sample)
-    return CifPair(
-        survival=km_survival(table, sample.n),
-        cif1=cif(table, sample.n, 1),
-        cif2=cif(table, sample.n, 2),
-        table=table,
-        n=sample.n,
+    def integrate(self, curve: str, upper: float) -> float:
+        """Exact area under ``curve`` ("survival", "cif1" or "cif2") on
+        [0, upper]."""
+        return integrate_step(
+            self.table.times, getattr(self, curve), upper, _INITIAL[curve]
+        )
+
+
+def cif_pair(sample: GroupSample) -> CifPair:
+    """Build the survival and incidence curves of one group.
+
+    S(t) = prod_{t_i <= t} (1 - d_i / Y_i), with censoring entering only
+    through the risk sets. F_j(t) sums (d_ij / Y_i) * S(t_i-) over event
+    times t_i <= t, where S(t_i-) is the survival just before t_i.
+    """
+    table = build_event_table(sample)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = 1.0 - (table.d1 + table.d2) / table.at_risk
+    surv = np.clip(np.cumprod(factors), 0.0, 1.0)
+    s_left = np.concatenate(([1.0], surv[:-1]))
+    cif1, cif2 = (
+        np.clip(np.cumsum((d / table.at_risk) * s_left), 0.0, 1.0)
+        for d in (table.d1, table.d2)
     )
+    return CifPair(table=table, survival=surv, cif1=cif1, cif2=cif2)
 
 
 def curve_rows(pair: CifPair) -> list[tuple[float, float, float, float]]:
-    """Rows (time, survival, cif1, cif2) for curve export: the merged
-    knot set plus a t=0 row."""
-    knots = np.unique(
-        np.concatenate((pair.survival.knots, pair.cif1.knots, pair.cif2.knots))
-    )
-    rows = [(0.0, 1.0, 0.0, 0.0)]
-    for t in knots:
-        rows.append(
-            (float(t), float(pair.survival(t)), float(pair.cif1(t)), float(pair.cif2(t)))
+    """Rows (time, survival, cif1, cif2) for curve export: a t=0 row,
+    then one row per event time."""
+    return [(0.0, 1.0, 0.0, 0.0)] + list(
+        zip(
+            pair.table.times.tolist(),
+            pair.survival.tolist(),
+            pair.cif1.tolist(),
+            pair.cif2.tolist(),
         )
-    return rows
+    )

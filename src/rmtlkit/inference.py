@@ -131,11 +131,10 @@ def variance_rmtl(pair: CifPair, tau: float, survival_eval: str = "left") -> flo
     d2 = table.d2[keep].astype(float)
     y = table.at_risk[keep].astype(float)
 
-    surv_all = pair.survival.values
-    s_right = surv_all[: t.size]
-    s_left = np.concatenate(([1.0], surv_all[: t.size - 1]))
-    f1 = pair.cif1.values[: t.size]
-    f2 = pair.cif2.values[: t.size]
+    s_right = pair.survival[: t.size]
+    s_left = np.concatenate(([1.0], pair.survival[: t.size - 1]))
+    f1 = pair.cif1[: t.size]
+    f2 = pair.cif2[: t.size]
 
     # Exact tail integrals A_i = integral of F1 over [t_i, tau]: F1 is
     # constant on [t_i, t_{i+1}), so accumulate segment areas from the right.
@@ -181,7 +180,7 @@ def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEs
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
         )
     pair = cif_pair(sample)
-    mu = pair.cif1.integrate(tau)
+    mu = pair.integrate("cif1", tau)
     var = variance_rmtl(pair, tau, survival_eval=survival_eval)
     return RmtlEstimate(mu=mu, variance=var, tau=tau, n=sample.n)
 
@@ -253,26 +252,21 @@ def _censoring_km(time, event):
     return times, np.cumprod(factors)
 
 
-def _gray_group_arrays(sample: GroupSample, cause: int, grid: np.ndarray):
+def _gray_group_arrays(sample: GroupSample, cause: int, other: int, grid: np.ndarray):
     """Per-group ingredients of the Gray score on a pooled time grid.
 
-    Returns the weighted risk process R_k on the grid, the cause-event
-    counts on the grid, and per-subject pieces used for the variance.
-    Subjects who fail from the competing cause stay in the risk set,
-    discounted by the censoring survival ratio G(t-)/G(T_i-).
+    Returns ``(r, d, g_grid, g_other)``: the weighted risk process R_k on
+    the grid, the cause-event counts on the grid, the censoring survival
+    G(t-) on the grid, and G(T_i-) at each competing-cause subject's own
+    time (in sample order). Subjects who fail from the competing cause
+    stay in the risk set, discounted by the ratio G(t-)/G(T_i-).
     """
     time = sample.time
     event = sample.event
-    other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
-
     km_t, g_right = _censoring_km(time, event)
     g_padded = np.concatenate(([1.0], g_right))
-
-    def g_left_at(ts):
-        # G(t-): value of the last distinct time strictly before t
-        return g_padded[np.searchsorted(km_t, ts, side="left")]
-
-    g_left_grid = g_left_at(grid)
+    # G(t-): value of the last distinct time strictly before t
+    g_grid = g_padded[np.searchsorted(km_t, grid, side="left")]
 
     # direct risk-set part: subjects with observed time >= t
     t_sorted = np.sort(time)
@@ -280,32 +274,22 @@ def _gray_group_arrays(sample: GroupSample, cause: int, grid: np.ndarray):
 
     # discounted part from competing-cause subjects beyond their event time
     comp_times = time[event == other]
-    g_at_comp = g_left_at(comp_times)
+    g_other = g_padded[np.searchsorted(km_t, comp_times, side="left")]
     order = np.argsort(comp_times, kind="stable")
     comp_sorted = comp_times[order]
-    inv_g_sorted = np.where(g_at_comp[order] > 0, 1.0 / g_at_comp[order], 0.0)
+    inv_g_sorted = np.where(g_other[order] > 0, 1.0 / g_other[order], 0.0)
     cum_inv = np.concatenate(([0.0], np.cumsum(inv_g_sorted)))
     # count competing events strictly before each grid time
     n_before = np.searchsorted(comp_sorted, grid, side="left")
-    weighted = g_left_grid * cum_inv[n_before]
+    weighted = g_grid * cum_inv[n_before]
 
     r_k = n_at_risk + weighted
 
+    # the grid holds every cause time of both groups, so each is found exactly
     d_cause = np.zeros(grid.size)
-    cause_times = time[event == cause]
-    idx = np.searchsorted(grid, cause_times)
-    hit = (idx < grid.size) & np.isclose(grid[np.minimum(idx, grid.size - 1)], cause_times)
-    np.add.at(d_cause, idx[hit], 1.0)
+    np.add.at(d_cause, np.searchsorted(grid, time[event == cause]), 1.0)
 
-    return {
-        "r": r_k,
-        "d": d_cause,
-        "time": time,
-        "event": event,
-        "other": other,
-        "g_left_at": g_left_at,
-        "g_left_grid": g_left_grid,
-    }
+    return r_k, d_cause, g_grid, g_other
 
 
 def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> GrayResult:
@@ -330,10 +314,9 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     if grid.size == 0:
         raise DegenerateTestError(f"no events of cause {cause} in either group")
 
-    g0 = _gray_group_arrays(sample0, cause, grid)
-    g1 = _gray_group_arrays(sample1, cause, grid)
-    r0, r1 = g0["r"], g1["r"]
-    d0, d1 = g0["d"], g1["d"]
+    other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
+    r0, d0, g_grid0, g_other0 = _gray_group_arrays(sample0, cause, other, grid)
+    r1, d1, g_grid1, g_other1 = _gray_group_arrays(sample1, cause, other, grid)
     r_pool = r0 + r1
     d_pool = d0 + d1
 
@@ -347,26 +330,28 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
         dlam = np.where(r_pool > 0, d_pool / r_pool, 0.0)
 
     var = 0.0
-    for g, r_k, sign in ((g0, r0, -1.0), (g1, r1, 1.0)):
+    for sample, r_k, g_grid, g_other, sign in (
+        (sample0, r0, g_grid0, g_other0, -1.0),
+        (sample1, r1, g_grid1, g_other1, 1.0),
+    ):
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(r_k > 0, k_w / r_k, 0.0)
         c_dlam = c * dlam
         prefix = np.concatenate(([0.0], np.cumsum(c_dlam)))
         suffix_weighted = np.concatenate(
-            (np.cumsum((c_dlam * g["g_left_grid"])[::-1])[::-1], [0.0])
+            (np.cumsum((c_dlam * g_grid)[::-1])[::-1], [0.0])
         )
 
-        time, event = g["time"], g["event"]
+        time, event = sample.time, sample.event
         # compensator while under direct observation: event times <= own time
         upto = np.searchsorted(grid, time, side="right")
         comp = prefix[upto]
         # discounted compensator after a competing event
-        is_other = event == g["other"]
+        is_other = event == other
         if np.any(is_other):
-            g_at_own = g["g_left_at"](time[is_other])
             after = suffix_weighted[upto[is_other]]
             with np.errstate(divide="ignore", invalid="ignore"):
-                comp_other = np.where(g_at_own > 0, after / g_at_own, 0.0)
+                comp_other = np.where(g_other > 0, after / g_other, 0.0)
             comp[is_other] += comp_other
         # event part for own cause-j events
         ev = np.zeros(time.size)

@@ -28,11 +28,10 @@ import numpy as np
 from .data import select_tau
 from .design import DesignInput, sample_size
 from .errors import SimulationError
-from .inference import GrayResult, RmtlEstimate, RmtldResult, gray_test, rmtld_test
+from .inference import GrayResult, RmtldResult, gray_test, rmtld_test
 from .scenarios import ScenarioSpec, calibrate_censoring, generate_group, true_rmtld
 
 __all__ = [
-    "ReplicateOutcome",
     "SimulationReport",
     "run_replicate",
     "run_estimation_study",
@@ -46,18 +45,6 @@ SCHEMA_VERSION = 1
 _PHASE_MAIN = 0
 _PHASE_PILOT = 1
 _PHASE_POWER = 2
-
-
-@dataclass(frozen=True)
-class ReplicateOutcome:
-    """Everything one replicate produced (fields unused by a mode are None)."""
-
-    rmtld: RmtldResult | None
-    rmtl0: RmtlEstimate | None
-    rmtl1: RmtlEstimate | None
-    gray: GrayResult | None
-    tau_used: float | None
-    usable: bool
 
 
 @dataclass
@@ -138,78 +125,44 @@ def run_replicate(
     spec: ScenarioSpec,
     seed: int,
     index: int,
+    phase: int = _PHASE_MAIN,
+    n0: int | None = None,
+    n1: int | None = None,
     fixed_tau: float | None = None,
     alpha: float = 0.05,
-) -> ReplicateOutcome:
-    """Execute one replicate and return everything it produced.
+    gray: bool = True,
+) -> tuple[RmtldResult, GrayResult | None] | None:
+    """Execute one replicate on substream ``(phase, index)`` of ``seed``.
 
-    With ``fixed_tau`` set, behaves like one estimation replicate
-    (``usable`` is False when the follow-up ends earlier, and no tests
-    are run in that case); otherwise the restriction time follows the
-    min-max rule and Gray's test is included. The same (seed, index)
-    pair always reproduces the same outcome.
+    Draws ``n0``/``n1`` subjects (default: the scenario's sizes) and
+    tests the RMTL difference at ``fixed_tau`` or, without one, at the
+    min-max restriction time. Returns ``(rmtld, gray)``, with Gray's
+    test only when ``gray`` is set, or None when the follow-up ends
+    before ``fixed_tau``. The same arguments always reproduce the same
+    outcome.
     """
-    rng = _rng_for(seed, _PHASE_MAIN, index)
-    s0 = generate_group(spec, 0, spec.n0, rng)
-    s1 = generate_group(spec, 1, spec.n1, rng)
-    tau_max = select_tau(s0, s1)
-    if fixed_tau is not None and tau_max < fixed_tau:
-        return ReplicateOutcome(
-            rmtld=None, rmtl0=None, rmtl1=None, gray=None,
-            tau_used=None, usable=False,
-        )
-    tau = fixed_tau if fixed_tau is not None else tau_max
-    res = rmtld_test(s0, s1, tau, alpha=alpha)
-    gray = gray_test(s0, s1, cause=1) if fixed_tau is None else None
-    return ReplicateOutcome(
-        rmtld=res, rmtl0=res.group0, rmtl1=res.group1, gray=gray,
-        tau_used=tau, usable=True,
-    )
-
-
-def _estimation_replicate(spec: ScenarioSpec, seed: int, index: int, fixed_tau, alpha):
-    rng = _rng_for(seed, _PHASE_MAIN, index)
-    s0 = generate_group(spec, 0, spec.n0, rng)
-    s1 = generate_group(spec, 1, spec.n1, rng)
-    if select_tau(s0, s1) < fixed_tau:
-        return None
-    res = rmtld_test(s0, s1, fixed_tau, alpha=alpha)
-    return (res.delta, math.sqrt(res.variance), res.ci_low, res.ci_high)
-
-
-def _power_replicate(spec: ScenarioSpec, seed: int, index: int, phase, alpha, n0, n1):
     rng = _rng_for(seed, phase, index)
-    s0 = generate_group(spec, 0, n0, rng)
-    s1 = generate_group(spec, 1, n1, rng)
+    s0 = generate_group(spec, 0, spec.n0 if n0 is None else n0, rng)
+    s1 = generate_group(spec, 1, spec.n1 if n1 is None else n1, rng)
     tau = select_tau(s0, s1)
+    if fixed_tau is not None:
+        if tau < fixed_tau:
+            return None
+        tau = fixed_tau
     res = rmtld_test(s0, s1, tau, alpha=alpha)
-    gray = gray_test(s0, s1, cause=1)
-    return (res.p, gray.p, tau)
-
-
-def _pilot_replicate(spec: ScenarioSpec, seed: int, index: int, n0, n1):
-    rng = _rng_for(seed, _PHASE_PILOT, index)
-    s0 = generate_group(spec, 0, n0, rng)
-    s1 = generate_group(spec, 1, n1, rng)
-    tau = select_tau(s0, s1)
-    res = rmtld_test(s0, s1, tau)
-    return (
-        res.delta,
-        n0 * res.group0.variance,
-        n1 * res.group1.variance,
-    )
+    return res, gray_test(s0, s1, cause=1) if gray else None
 
 
 def _chunk_worker(args):
-    fn, spec, seed, indices, extra = args
-    return [fn(spec, seed, i, *extra) for i in indices]
+    spec, seed, indices, options = args
+    return [run_replicate(spec, seed, i, **options) for i in indices]
 
 
-def _map_replicates(fn, spec, seed, reps, extra, workers):
+def _map_replicates(spec, seed, reps, options, workers):
     if workers <= 1:
-        return [fn(spec, seed, i, *extra) for i in range(reps)]
+        return [run_replicate(spec, seed, i, **options) for i in range(reps)]
     chunks = np.array_split(np.arange(reps), workers * 4)
-    jobs = [(fn, spec, seed, chunk.tolist(), extra) for chunk in chunks if chunk.size]
+    jobs = [(spec, seed, chunk.tolist(), options) for chunk in chunks if chunk.size]
     out = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_chunk_worker, jobs):
@@ -246,9 +199,13 @@ def run_estimation_study(
         raise ValueError("reps must be at least 100")
     truth = true_rmtld(spec, tau=fixed_tau)
     records = _map_replicates(
-        _estimation_replicate, spec, seed, reps, (fixed_tau, alpha), workers
+        spec,
+        seed,
+        reps,
+        {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False},
+        workers,
     )
-    usable = [r for r in records if r is not None]
+    usable = [r[0] for r in records if r is not None]
     n_bad = reps - len(usable)
     if n_bad > reps / 2:
         raise SimulationError(
@@ -261,9 +218,9 @@ def run_estimation_study(
                 "censor_bounds": _bounds_for(spec),
             },
         )
-    deltas = np.array([r[0] for r in usable])
-    ses = np.array([r[1] for r in usable])
-    cover = np.array([(r[2] <= truth <= r[3]) for r in usable], dtype=float)
+    deltas = np.array([r.delta for r in usable])
+    ses = np.array([math.sqrt(r.variance) for r in usable])
+    cover = np.array([(r.ci_low <= truth <= r.ci_high) for r in usable], dtype=float)
     n_use = deltas.size
 
     sd = float(np.std(deltas, ddof=1))
@@ -313,17 +270,10 @@ def run_power_study(
     """Rejection rates of both tests with the min-max restriction rule."""
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    records = _map_replicates(
-        _power_replicate,
-        spec,
-        seed,
-        reps,
-        (_PHASE_MAIN, alpha, spec.n0, spec.n1),
-        workers,
-    )
-    p_rmtld = np.array([r[0] for r in records])
-    p_gray = np.array([r[1] for r in records])
-    taus = np.array([r[2] for r in records])
+    records = _map_replicates(spec, seed, reps, {"alpha": alpha}, workers)
+    p_rmtld = np.array([res.p for res, _ in records])
+    p_gray = np.array([gray.p for _, gray in records])
+    taus = np.array([res.tau for res, _ in records])
 
     report = SimulationReport(
         mode="power",
@@ -366,12 +316,17 @@ def run_samplesize_validation(
     design = None
     inputs = None
     for _ in range(refinements + 1):
-        rows = _map_replicates(
-            _pilot_replicate, spec, seed, pilot_reps, (n0_cur, n1_cur), workers
+        # the pilot tests at the default alpha: only its estimates are used
+        pilot = _map_replicates(
+            spec,
+            seed,
+            pilot_reps,
+            {"phase": _PHASE_PILOT, "n0": n0_cur, "n1": n1_cur, "gray": False},
+            workers,
         )
-        delta_bar = float(np.mean([r[0] for r in rows]))
-        sig0_bar = float(np.mean([r[1] for r in rows]))
-        sig1_bar = float(np.mean([r[2] for r in rows]))
+        delta_bar = float(np.mean([res.delta for res, _ in pilot]))
+        sig0_bar = float(np.mean([n0_cur * res.group0.variance for res, _ in pilot]))
+        sig1_bar = float(np.mean([n1_cur * res.group1.variance for res, _ in pilot]))
         inputs = DesignInput(
             delta=delta_bar,
             sigma0_sq=sig0_bar,
@@ -384,15 +339,14 @@ def run_samplesize_validation(
         n0_cur, n1_cur = design.n0, design.n1
 
     records = _map_replicates(
-        _power_replicate,
         spec,
         seed,
         power_reps,
-        (_PHASE_POWER, alpha, design.n0, design.n1),
+        {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha},
         workers,
     )
-    p_rmtld = np.array([r[0] for r in records])
-    p_gray = np.array([r[1] for r in records])
+    p_rmtld = np.array([res.p for res, _ in records])
+    p_gray = np.array([gray.p for _, gray in records])
 
     report = SimulationReport(
         mode="samplesize",

@@ -1,74 +1,33 @@
-"""Right-continuous step functions with exact integration.
+"""Exact integration of right-continuous step functions.
 
-Knots and cumulative values are stored (not deltas), so evaluation is a
-binary search and integration over [0, upper] is an exact sum of
-rectangle areas. Jump sums use compensated summation (``math.fsum``).
+A step function is given by its knots and the cumulative value it takes
+from each knot on (not deltas), so integration over [0, upper] is an
+exact sum of rectangle areas, accumulated with compensated summation
+(``math.fsum``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    """f(t) = ``initial`` on [0, knots[0]) and ``values[i]`` on
-    [knots[i], knots[i+1])."""
+def integrate_step(knots, values, upper: float, initial: float = 0.0) -> float:
+    """Exact area on [0, upper] under f(t) = ``initial`` on [0, knots[0])
+    and ``values[i]`` on [knots[i], knots[i+1]).
 
-    knots: np.ndarray
-    values: np.ndarray
-    initial: float = 0.0
-
-    def __post_init__(self):
-        knots = np.ascontiguousarray(np.asarray(self.knots, dtype=float))
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if knots.shape != values.shape or knots.ndim != 1:
-            raise ValueError("knots and values must be 1-d arrays of equal length")
-        if knots.size and np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
-        knots.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, t):
-        """Right-continuous evaluation: the value at the largest knot <= t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        padded = np.concatenate(([self.initial], self.values))
-        out = padded[idx + 1]
-        return float(out) if out.ndim == 0 else out
-
-    def left_limit(self, t):
-        """f(t-): the value just before t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.knots, t, side="left") - 1
-        padded = np.concatenate(([self.initial], self.values))
-        out = padded[idx + 1]
-        return float(out) if out.ndim == 0 else out
-
-    def integrate(self, upper: float) -> float:
-        """Exact integral of f over [0, upper]."""
-        return integrate_step(self, upper)
-
-
-def integrate_step(f: StepFunction, upper: float) -> float:
-    """Exact area under a step function on [0, upper].
-
-    Sums value x overlap length over every constancy interval; the
-    accumulation is compensated so repeated small jumps do not lose
-    precision. ``upper`` must be positive.
+    ``knots`` and ``values`` are 1-d float arrays of equal length, with
+    ``knots`` strictly increasing; ``upper`` must be positive. The sum
+    of value x overlap length is correctly rounded, so repeated small
+    jumps do not lose precision.
     """
     if not upper > 0:
         raise ValueError(f"upper must be positive (got {upper})")
-    knots = f.knots
     if knots.size == 0:
-        return f.initial * upper
+        return initial * upper
     starts = np.concatenate(([0.0], knots))
     ends = np.concatenate((knots, [max(upper, knots[-1])]))
-    vals = np.concatenate(([f.initial], f.values))
+    vals = np.concatenate(([initial], values))
     lengths = np.clip(np.minimum(ends, upper) - np.minimum(starts, upper), 0.0, None)
-    return math.fsum(v * w for v, w in zip(vals, lengths) if w > 0.0)
+    return math.fsum(vals * lengths)

@@ -65,9 +65,9 @@ def test_criterion_01_exact_oracles():
         tau = float(rng.uniform(0.1, s.max_followup))
         pair = cif_pair(s)
         keep = pair.table.times <= tau
-        jumps = np.diff(np.concatenate(([0.0], pair.cif1.values)))[keep]
+        jumps = np.diff(np.concatenate(([0.0], pair.cif1)))[keep]
         jump_form = float(np.sum(jumps * (tau - pair.table.times[keep])))
-        worst_jmp = max(worst_jmp, abs(pair.cif1.integrate(tau) - jump_form))
+        worst_jmp = max(worst_jmp, abs(pair.integrate("cif1", tau) - jump_form))
     ok = worst_unc <= 1e-12 and worst_jmp <= 1e-12
     report(
         1,
@@ -86,9 +86,9 @@ def test_criterion_02_conservation():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.05, s.max_followup + 2.0))
         total = (
-            pair.survival.integrate(tau)
-            + pair.cif1.integrate(tau)
-            + pair.cif2.integrate(tau)
+            pair.integrate("survival", tau)
+            + pair.integrate("cif1", tau)
+            + pair.integrate("cif2", tau)
         )
         worst = max(worst, abs(total - tau))
     ok = worst <= 1e-10

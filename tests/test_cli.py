@@ -106,6 +106,13 @@ def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/file.csv"]) == 2
 
 
+def test_analyze_header_only_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("time,event,group\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "at least 2 required" in capsys.readouterr().err
+
+
 def test_analyze_degenerate_exit_3(tmp_path, capsys):
     path = tmp_path / "cens.csv"
     path.write_text("time,event,group\n1,0,0\n2,0,0\n1,0,1\n2,0,1\n")

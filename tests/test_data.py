@@ -12,6 +12,7 @@ from rmtlkit import (
     ingest_csv,
     select_tau,
 )
+from rmtlkit.data import ingest_single_group_csv
 
 FIXTURE_CSV = b"time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
 
@@ -63,6 +64,12 @@ def test_ingest_bad_group_code():
 def test_ingest_too_small_group():
     with pytest.raises(SampleSizeError):
         ingest_csv(io.BytesIO(b"time,event,group\n1,1,0\n2,0,0\n3,1,1\n"))
+
+
+@pytest.mark.parametrize("ingest", [ingest_csv, ingest_single_group_csv])
+def test_ingest_header_only(ingest):
+    with pytest.raises(SampleSizeError):
+        ingest(io.BytesIO(b"time,event,group\n"), group_col="group")
 
 
 def test_ingest_code_remap():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtlkit import GroupSample, build_event_table, cif, cif_pair, curve_rows, km_survival
+from rmtlkit import GroupSample, cif_pair, curve_rows
 
 
 def make_sample(pairs, group=0):
@@ -21,38 +21,32 @@ FIXTURE = [(1, 1), (2, 0), (3, 1), (4, 2)]
 
 
 def test_km_fixture():
-    s = make_sample(FIXTURE)
-    surv = km_survival(build_event_table(s), s.n)
-    assert surv(0.5) == 1.0
-    assert surv(1.0) == pytest.approx(0.75)
-    assert surv(2.9) == pytest.approx(0.75)
-    assert surv(3.0) == pytest.approx(0.375)
-    assert surv(4.0) == 0.0
+    pair = cif_pair(make_sample(FIXTURE))
+    assert pair.at(0.5)[0] == 1.0
+    assert pair.at(1.0)[0] == pytest.approx(0.75)
+    assert pair.at(2.9)[0] == pytest.approx(0.75)
+    assert pair.at(3.0)[0] == pytest.approx(0.375)
+    assert pair.at(4.0)[0] == 0.0
 
 
 def test_km_empty_table():
-    s = make_sample([(1, 0), (2, 0)])
-    surv = km_survival(build_event_table(s), s.n)
-    assert surv(100.0) == 1.0
+    pair = cif_pair(make_sample([(1, 0), (2, 0)]))
+    assert pair.at(100.0)[0] == 1.0
 
 
 def test_km_single_event():
-    s = make_sample([(5, 1), (5, 1)])
-    surv = km_survival(build_event_table(s), s.n)
-    assert surv(4.999) == 1.0
-    assert surv(5.0) == 0.0
+    pair = cif_pair(make_sample([(5, 1), (5, 1)]))
+    assert pair.at(4.999)[0] == 1.0
+    assert pair.at(5.0)[0] == 0.0
 
 
 def test_cif_fixture():
-    s = make_sample(FIXTURE)
-    table = build_event_table(s)
-    f1 = cif(table, s.n, 1)
-    assert f1(1.0) == pytest.approx(0.25)
-    assert f1(3.0) == pytest.approx(0.625)
-    assert f1(4.0) == pytest.approx(0.625)
-    f2 = cif(table, s.n, 2)
-    assert f2(3.999) == 0.0
-    assert f2(4.0) == pytest.approx(0.375)
+    pair = cif_pair(make_sample(FIXTURE))
+    assert pair.at(1.0)[1] == pytest.approx(0.25)
+    assert pair.at(3.0)[1] == pytest.approx(0.625)
+    assert pair.at(4.0)[1] == pytest.approx(0.625)
+    assert pair.at(3.999)[2] == 0.0
+    assert pair.at(4.0)[2] == pytest.approx(0.375)
 
 
 def test_cif_uncensored_subdistribution():
@@ -61,16 +55,14 @@ def test_cif_uncensored_subdistribution():
         n = int(rng.integers(2, 30))
         time = rng.exponential(1.0, n)
         event = rng.integers(1, 3, n)
-        s = GroupSample(time, event, 0)
-        table = build_event_table(s)
-        f1 = cif(table, n, 1)
-        assert f1(time.max()) == pytest.approx(np.mean(event == 1), abs=1e-12)
+        pair = cif_pair(GroupSample(time, event, 0))
+        assert pair.at(time.max())[1] == pytest.approx(np.mean(event == 1), abs=1e-12)
 
 
 def test_integration_fixture():
     s = make_sample(FIXTURE)
     pair = cif_pair(s)
-    assert pair.cif1.integrate(4.0) == pytest.approx(1.125, abs=1e-15)
+    assert pair.integrate("cif1", 4.0) == pytest.approx(1.125, abs=1e-15)
 
 
 def test_additivity_and_monotonicity_fuzz():
@@ -81,13 +73,14 @@ def test_additivity_and_monotonicity_fuzz():
         t = pair.table.times
         if t.size == 0:
             continue
-        total = pair.cif1(t) + pair.cif2(t) + pair.survival(t)
+        surv, f1, f2 = pair.at(t)
+        total = f1 + f2 + surv
         assert np.max(np.abs(total - 1.0)) < 1e-10
-        assert np.all(np.diff(pair.survival.values) <= 1e-12)
-        assert np.all(np.diff(pair.cif1.values) >= -1e-12)
-        assert np.all(np.diff(pair.cif2.values) >= -1e-12)
+        assert np.all(np.diff(pair.survival) <= 1e-12)
+        assert np.all(np.diff(pair.cif1) >= -1e-12)
+        assert np.all(np.diff(pair.cif2) >= -1e-12)
         for f in (pair.survival, pair.cif1, pair.cif2):
-            assert np.all(f.values >= 0.0) and np.all(f.values <= 1.0)
+            assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
 
 def test_integral_conservation_fuzz():
@@ -97,9 +90,9 @@ def test_integral_conservation_fuzz():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.05, s.max_followup + 1.0))
         total = (
-            pair.survival.integrate(tau)
-            + pair.cif1.integrate(tau)
-            + pair.cif2.integrate(tau)
+            pair.integrate("survival", tau)
+            + pair.integrate("cif1", tau)
+            + pair.integrate("cif2", tau)
         )
         assert total == pytest.approx(tau, abs=1e-10)
 
@@ -114,9 +107,9 @@ def test_jump_rectangle_equivalence_fuzz():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.1, s.max_followup))
         keep = pair.table.times <= tau
-        jumps = np.diff(np.concatenate(([0.0], pair.cif1.values)))[keep]
+        jumps = np.diff(np.concatenate(([0.0], pair.cif1)))[keep]
         jump_form = float(np.sum(jumps * (tau - pair.table.times[keep])))
-        assert pair.cif1.integrate(tau) == pytest.approx(jump_form, abs=1e-12)
+        assert pair.integrate("cif1", tau) == pytest.approx(jump_form, abs=1e-12)
 
 
 def test_uncensored_integral_oracle():
@@ -129,7 +122,7 @@ def test_uncensored_integral_oracle():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.2, time.max()))
         oracle = np.sum(np.where((event == 1) & (time <= tau), tau - time, 0.0)) / n
-        assert pair.cif1.integrate(tau) == pytest.approx(oracle, abs=1e-12)
+        assert pair.integrate("cif1", tau) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_curve_rows():
@@ -140,3 +133,11 @@ def test_curve_rows():
     assert times == [0.0, 1.0, 3.0, 4.0]
     last = rows[-1]
     assert last[1] + last[2] + last[3] == pytest.approx(1.0)
+    # the one-pass export equals pointwise evaluation at every knot
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        pair = cif_pair(random_sample(rng))
+        expected = [(0.0, 1.0, 0.0, 0.0)] + [
+            (float(t), *map(float, pair.at(t))) for t in pair.table.times
+        ]
+        assert curve_rows(pair) == expected

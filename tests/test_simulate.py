@@ -117,18 +117,18 @@ def test_report_json_roundtrip():
 def test_run_replicate_outcome():
     spec = scenario("B", 150, 150, 0)
     out = run_replicate(spec, seed=21, index=3)
-    assert out.usable
-    assert out.gray is not None
-    assert out.tau_used > 0
-    assert out.rmtl0.n == 150 and out.rmtl1.n == 150
-    assert out.rmtld.delta == out.rmtl1.mu - out.rmtl0.mu
-    again = run_replicate(spec, seed=21, index=3)
-    assert again.rmtld.delta == out.rmtld.delta
+    assert out is not None
+    res, gray = out
+    assert gray is not None
+    assert res.tau > 0
+    assert res.group0.n == 150 and res.group1.n == 150
+    assert res.delta == res.group1.mu - res.group0.mu
+    again, _ = run_replicate(spec, seed=21, index=3)
+    assert again.delta == res.delta
 
     # an unreachable fixed horizon flags the replicate instead of failing
     short = run_replicate(scenario("A", 100, 100, 45), seed=21, index=0, fixed_tau=4.0)
-    assert not short.usable
-    assert short.rmtld is None and short.tau_used is None
+    assert short is None
 
 
 def test_null_calibration_with_heavy_censoring():
@@ -173,8 +173,8 @@ def test_error_shrinks_with_sample_size():
             truth = true_rmtld(spec)
         errs = []
         for r in range(150):
-            out = run_replicate(spec, seed=55, index=r, fixed_tau=4.0)
-            if out.usable:
-                errs.append(abs(out.rmtld.delta - truth))
+            out = run_replicate(spec, seed=55, index=r, fixed_tau=4.0, gray=False)
+            if out is not None:
+                errs.append(abs(out[0].delta - truth))
         means.append(np.mean(errs))
     assert means[0] > means[1] > means[2]

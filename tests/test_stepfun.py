@@ -1,60 +1,59 @@
 import numpy as np
 import pytest
 
-from rmtlkit import StepFunction, integrate_step
+from rmtlkit import CifPair, EventTable, integrate_step
+
+
+def step_pair(knots, survival):
+    """A CifPair whose survival curve takes the given values (events of
+    cause 1 only, so cif1 = 1 - survival)."""
+    knots = np.asarray(knots, dtype=float)
+    ones = np.ones(knots.size, dtype=np.int64)
+    table = EventTable(knots, ones, 0 * ones, ones)
+    survival = np.asarray(survival, dtype=float)
+    return CifPair(table, survival, 1.0 - survival, np.zeros(knots.size))
 
 
 def test_eval_right_continuous():
-    f = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 0.2]), initial=1.0)
-    assert f(0.0) == 1.0
-    assert f(0.999) == 1.0
-    assert f(1.0) == 0.5
-    assert f(2.5) == 0.5
-    assert f(3.0) == 0.2
-    assert f(10.0) == 0.2
-
-
-def test_left_limit():
-    f = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 0.2]), initial=1.0)
-    assert f.left_limit(1.0) == 1.0
-    assert f.left_limit(3.0) == 0.5
-    assert f.left_limit(3.0001) == 0.2
+    pair = step_pair([1.0, 3.0], [0.5, 0.2])
+    values = [pair.at(t)[0] for t in (0.0, 0.999, 1.0, 2.5, 3.0, 10.0)]
+    assert values == [1.0, 1.0, 0.5, 0.5, 0.2, 0.2]
 
 
 def test_vector_eval():
-    f = StepFunction(np.array([1.0, 2.0]), np.array([0.4, 0.1]), initial=1.0)
-    out = f(np.array([0.5, 1.0, 1.5, 2.0, 9.0]))
+    pair = step_pair([1.0, 2.0], [0.4, 0.1])
+    out = pair.at(np.array([0.5, 1.0, 1.5, 2.0, 9.0]))[0]
     assert out.tolist() == [1.0, 0.4, 0.4, 0.1, 0.1]
 
 
 def test_integrate_constants():
-    zero = StepFunction(np.array([]), np.array([]), initial=0.0)
-    assert integrate_step(zero, 7.3) == 0.0
-    one = StepFunction(np.array([]), np.array([]), initial=1.0)
-    assert integrate_step(one, 5.0) == 5.0
+    empty = np.array([])
+    assert integrate_step(empty, empty, 7.3) == 0.0
+    assert integrate_step(empty, empty, 5.0, initial=1.0) == 5.0
 
 
 def test_integrate_partial_overlap():
-    f = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 0.2]), initial=1.0)
+    knots, vals = np.array([1.0, 3.0]), np.array([0.5, 0.2])
     # 1*1 + 0.5*2 + 0.2*1 over [0, 4]
-    assert f.integrate(4.0) == pytest.approx(2.2, abs=1e-15)
+    assert integrate_step(knots, vals, 4.0, 1.0) == pytest.approx(2.2, abs=1e-15)
     # cut inside the second segment
-    assert f.integrate(2.0) == pytest.approx(1.5, abs=1e-15)
+    assert integrate_step(knots, vals, 2.0, 1.0) == pytest.approx(1.5, abs=1e-15)
     # upper beyond last knot extends the final value
-    assert f.integrate(10.0) == pytest.approx(1.0 + 1.0 + 1.4, abs=1e-14)
+    assert integrate_step(knots, vals, 10.0, 1.0) == pytest.approx(1.0 + 1.0 + 1.4, abs=1e-14)
 
 
 def test_integrate_rejects_bad_upper():
-    f = StepFunction(np.array([1.0]), np.array([0.5]), initial=1.0)
+    knots, vals = np.array([1.0]), np.array([0.5])
     with pytest.raises(ValueError):
-        f.integrate(0.0)
+        integrate_step(knots, vals, 0.0, 1.0)
     with pytest.raises(ValueError):
-        integrate_step(f, -1.0)
+        integrate_step(knots, vals, -1.0, 1.0)
 
 
 def test_knots_must_increase():
+    # the curve knots are the event table's times, which it validates
     with pytest.raises(ValueError):
-        StepFunction(np.array([1.0, 1.0]), np.array([0.5, 0.2]), initial=1.0)
+        step_pair([1.0, 1.0], [0.5, 0.2])
 
 
 def test_integral_additivity_fuzz():
@@ -64,13 +63,14 @@ def test_integral_additivity_fuzz():
         knots = np.sort(rng.uniform(0, 10, k))
         knots = np.unique(knots)
         vals = rng.uniform(0, 1, knots.size)
-        f = StepFunction(knots, vals, initial=float(rng.uniform(0, 1)))
+        initial = float(rng.uniform(0, 1))
+        padded = np.concatenate(([initial], vals))
         a, b = sorted(rng.uniform(0.1, 12, 2))
         if a == b:
             continue
-        whole = f.integrate(b)
-        first = f.integrate(a)
+        whole = integrate_step(knots, vals, b, initial)
+        first = integrate_step(knots, vals, a, initial)
         # integral over [a, b] via brute-force Riemann sum
         grid = np.linspace(a, b, 20001)
-        riemann = np.trapezoid(f(grid), grid)
+        riemann = np.trapezoid(padded[np.searchsorted(knots, grid, side="right")], grid)
         assert whole - first == pytest.approx(riemann, abs=2e-3)
