@@ -33,7 +33,7 @@ from .errors import (
     InputError,
     SimulationError,
 )
-from .estimators import cif_pair, curve_rows
+from .estimators import _sample_curves, curve_rows
 from .inference import gray_test, rmtl, rmtld_test
 from .scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
 from .simulate import (
@@ -106,7 +106,7 @@ def _write_curves(base, samples):
     base = Path(base)
     written = []
     for sample in samples:
-        pair = cif_pair(sample)
+        pair = _sample_curves(sample)
         path = _curve_path(base, sample.group)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

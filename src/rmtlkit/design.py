@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import GroupSample
 from .errors import DegeneratePilotError, InfeasibleDesignError
@@ -72,8 +72,8 @@ def sample_size(inp: DesignInput) -> DesignResult:
     the minimum for inference), so fractional ratios never undershoot
     the power target in either arm.
     """
-    za = float(norm.ppf(1.0 - inp.alpha / 2.0))
-    zb = float(norm.ppf(inp.power))
+    za = float(ndtri(1.0 - inp.alpha / 2.0))
+    zb = float(ndtri(inp.power))
     n0_real = (
         (zb + za) ** 2
         * (inp.sigma0_sq + inp.sigma1_sq / inp.ratio)
@@ -114,5 +114,5 @@ def power_at(
         raise ValueError("n0 must be at least 2")
     n1 = ratio * n0
     se = math.sqrt(sigma0_sq / n0 + sigma1_sq / n1)
-    za = float(norm.ppf(1.0 - alpha / 2.0))
-    return float(norm.cdf(abs(delta) / se - za))
+    za = float(ndtri(1.0 - alpha / 2.0))
+    return float(ndtr(abs(delta) / se - za))

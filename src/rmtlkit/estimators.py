@@ -83,6 +83,18 @@ def cif_pair(sample: GroupSample) -> CifPair:
     return CifPair(table=table, survival=surv, cif1=cif1, cif2=cif2)
 
 
+def _sample_curves(sample: GroupSample) -> CifPair:
+    """``cif_pair(sample)``, built once per sample and kept with it.
+
+    A GroupSample and a CifPair are both immutable, so the cached curves
+    never go stale; ``rmtl`` and the CLI's curve export share them.
+    """
+    cache = vars(sample)
+    if "_cif_pair" not in cache:
+        cache["_cif_pair"] = cif_pair(sample)
+    return cache["_cif_pair"]
+
+
 def curve_rows(pair: CifPair) -> list[tuple[float, float, float, float]]:
     """Rows (time, survival, cif1, cif2) for curve export: a t=0 row,
     then one row per event time."""

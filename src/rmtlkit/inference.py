@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtr, ndtri
 
 from .data import (
     EVENT_CENSORED,
@@ -26,7 +26,7 @@ from .data import (
     select_tau,
 )
 from .errors import DegenerateTestError, ExtrapolationError
-from .estimators import CifPair, cif_pair
+from .estimators import CifPair, _sample_curves
 
 __all__ = [
     "RmtlEstimate",
@@ -167,6 +167,51 @@ def variance_rmtl(pair: CifPair, tau: float, survival_eval: str = "left") -> flo
     return max(var, 0.0)
 
 
+def _rmtl_rows(t: np.ndarray, e: np.ndarray, tau: np.ndarray):
+    """Row-wise ``rmtl`` (left survival weight) for a block of one-arm
+    samples: ``t`` and ``e`` are (rows, n) times and event codes, each
+    row sorted with distinct times, ``tau`` the per-row restriction.
+
+    Without ties every position is its own risk-set step (Y = n - rank)
+    and a censored position multiplies by exactly 1 or adds exactly 0,
+    so the curves, segment areas, tail integrals and variance terms are
+    the values ``cif_pair`` and ``variance_rmtl`` compute, and the
+    compensated per-row sums match them bit for bit. The survival weight
+    S(t-) is positive at every event: it vanishes only after the last
+    subject at risk has failed. Returns ``(mu, variance)`` per row.
+    """
+    rows, n = t.shape
+    y = np.arange(n, 0, -1, dtype=float)
+    d1 = e == EVENT_INTEREST
+    d2 = e == EVENT_COMPETING
+    event = d1 | d2
+    surv = np.clip(np.cumprod(1.0 - event / y, axis=1), 0.0, 1.0)
+    s_left = np.concatenate((np.ones((rows, 1)), surv[:, :-1]), axis=1)
+    df1 = d1 / y * s_left
+    df2 = d2 / y * s_left
+    f1 = np.clip(np.cumsum(df1, axis=1), 0.0, 1.0)
+    f2 = np.clip(np.cumsum(df2, axis=1), 0.0, 1.0)
+
+    taus = tau[:, None]
+    keep = event & (t <= taus)
+    # F1 holds from each event time to the next one (or to tau)
+    next_event = np.minimum.accumulate(np.where(event, t, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    seg_end = np.minimum(
+        np.concatenate((next_event[:, 1:], np.full((rows, 1), np.inf)), axis=1), taus
+    )
+    areas = np.where(keep, f1 * np.maximum(seg_end - t, 0.0), 0.0)
+    tails = np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = y * s_left
+        term1 = np.where(keep, ((taus - t) * (1.0 - f2) - tails) ** 2 / weight * df1, 0.0)
+        term2 = np.where(keep, ((taus - t) * f1 - tails) ** 2 / weight * df2, 0.0)
+    mu = np.array([math.fsum(row) for row in areas.tolist()])
+    var = np.array(
+        [max(math.fsum(a) + math.fsum(b), 0.0) for a, b in zip(term1.tolist(), term2.tolist())]
+    )
+    return mu, var
+
+
 def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEstimate:
     """RMTL point estimate and variance for one group over [0, tau].
 
@@ -179,7 +224,7 @@ def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEs
         raise ExtrapolationError(
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
         )
-    pair = cif_pair(sample)
+    pair = _sample_curves(sample)
     mu = pair.integrate("cif1", tau)
     var = variance_rmtl(pair, tau, survival_eval=survival_eval)
     return RmtlEstimate(mu=mu, variance=var, tau=tau, n=sample.n)
@@ -216,22 +261,28 @@ def rmtld_test(
         raise DegenerateTestError(
             "both groups are event-free before tau; the test is undefined"
         )
-    se = math.sqrt(var)
-    z = delta / se
-    p = 2.0 * float(norm.sf(abs(z)))
-    zq = float(norm.ppf(1.0 - alpha / 2.0))
+    z, p, ci_low, ci_high = (float(v) for v in _normal_test(delta, var, alpha))
     return RmtldResult(
         delta=delta,
         variance=var,
-        ci_low=delta - zq * se,
-        ci_high=delta + zq * se,
+        ci_low=ci_low,
+        ci_high=ci_high,
         z=z,
-        p=min(p, 1.0),
+        p=p,
         alpha=alpha,
         tau=tau,
         group0=est0,
         group1=est1,
     )
+
+
+def _normal_test(delta, var, alpha):
+    """(z, p, ci_low, ci_high) of the normal test of ``delta`` with
+    variance ``var``, for scalars or elementwise for arrays."""
+    se = np.sqrt(var)
+    z = delta / se
+    zq = ndtri(1.0 - alpha / 2.0)
+    return z, np.minimum(2.0 * ndtr(-np.abs(z)), 1.0), delta - zq * se, delta + zq * se
 
 
 def _censoring_km(time, event):
@@ -367,4 +418,65 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     if var <= 0.0:
         raise DegenerateTestError("degenerate Gray test: zero variance")
     stat = z * z / var
-    return GrayResult(statistic=stat, p=float(chi2.sf(stat, 1)), cause=cause)
+    return GrayResult(statistic=stat, p=float(chdtrc(1, stat)), cause=cause)
+
+
+def _gray_rows(t: np.ndarray, e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
+    """Row-wise ``gray_test`` (cause 1) for a block of pooled two-arm
+    samples: ``t``, ``e`` and ``arm`` (True for the treatment arm) are
+    (rows, n) and each row is sorted with distinct times; ``order`` is
+    the per-row sort of the pooled draws, control subjects first.
+
+    On distinct times the grid is the pooled row itself, and each arm's
+    risk process, G(t-), compensators and residuals are masked prefix
+    and suffix sums along it that add the same terms in the same order
+    as ``gray_test``; the residuals are put back in sample order so that
+    each arm's sum of squares is the same dot product. Returns
+    ``(statistic, variance)`` per row.
+    """
+    rows, n = t.shape
+    grid = e == EVENT_INTEREST
+    is_other = e == EVENT_COMPETING
+    censored = e == EVENT_CENSORED
+    d_pool = grid.astype(float)
+    zeros = np.zeros((rows, 1))
+
+    arms = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for member, n_k in ((~arm, n0), (arm, n - n0)):
+            # own-arm subjects at or after each position, and G(t-) from the
+            # own-arm censorings strictly before it
+            y_k = (n_k - (np.cumsum(member, axis=1) - member)).astype(float)
+            g_right = np.cumprod(np.where(member & censored, 1.0 - 1.0 / y_k, 1.0), axis=1)
+            g_left = np.concatenate((np.ones((rows, 1)), g_right[:, :-1]), axis=1)
+            inv = np.where(member & is_other & (g_left > 0), 1.0 / g_left, 0.0)
+            cum_inv = np.concatenate((zeros, np.cumsum(inv, axis=1)[:, :-1]), axis=1)
+            arms.append((member, y_k + g_left * cum_inv, g_left))
+        (_, r0, _), (_, r1, _) = arms
+        r_pool = r0 + r1
+        pooled = r_pool > 0
+        d1 = (grid & arm).astype(float)
+        score = np.where(grid, d1 - np.where(pooled, r1 / r_pool * d_pool, 0.0), 0.0)
+        k_w = np.where(pooled, r1 * r0 / r_pool, 0.0)
+        dlam = np.where(pooled, d_pool / r_pool, 0.0)
+
+        eta = np.empty((rows, n))
+        for (member, r_k, g_left), sign in zip(arms, (-1.0, 1.0)):
+            c = np.where(r_k > 0, k_w / r_k, 0.0)
+            c_dlam = np.where(grid, c * dlam, 0.0)
+            comp = np.cumsum(c_dlam, axis=1)
+            suffix = np.cumsum((c_dlam * g_left)[:, ::-1], axis=1)[:, ::-1]
+            after = np.concatenate((suffix[:, 1:], zeros), axis=1)
+            comp_other = np.where(g_left > 0, after / g_left, 0.0)
+            comp = comp + np.where(member & is_other, comp_other, 0.0)
+            ev = np.where(member & grid, c, 0.0)
+            np.copyto(eta, sign * (ev - comp), where=member)
+
+    by_subject = np.empty_like(eta)
+    np.put_along_axis(by_subject, order, eta, axis=1)
+    z = np.array([math.fsum(row) for row in score.tolist()])
+    var = np.array(
+        [0.0 + np.dot(row[:n0], row[:n0]) + np.dot(row[n0:], row[n0:]) for row in by_subject]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return z * z / var, var

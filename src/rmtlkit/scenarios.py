@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .data import GroupSample
 from .errors import CalibrationError
@@ -213,6 +211,8 @@ def sdh_cause2_cif(p1: float, theta: float, t) -> np.ndarray:
 def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
     """True RMTL difference of the proportional-SDH family at ``tau``,
     by exact quadrature."""
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda t: sdh_cause1_cif(p1, theta, t) - p1 * (1.0 - np.exp(-t)),
         0.0,
@@ -257,19 +257,25 @@ def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
     return cause, times
 
 
+def _draw_arm(spec: ScenarioSpec, group: int, n: int, rng, bound: float | None) -> tuple:
+    """Observed times and event codes of one arm: latent failures, then
+    uniform censoring on (0, ``bound``), or none when ``bound`` is None.
+    Every simulated arm is drawn here, so a substream always yields the
+    same subjects."""
+    cause, times = _draw_failures(spec, group, n, rng)
+    if bound is None:
+        return times, cause
+    c = rng.uniform(0.0, bound, n)
+    return np.minimum(times, c), np.where(times <= c, cause, 0)
+
+
 def generate_group(spec: ScenarioSpec, group: int, n: int, rng) -> GroupSample:
     """Simulate one arm: draw the event type, the conditional failure
     time, then apply calibrated uniform censoring (none at target 0)."""
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
-    cause, times = _draw_failures(spec, group, n, rng)
-    if spec.censor_target == 0:
-        return GroupSample(times, cause, group)
     bound = calibrate_censoring(spec, spec.censor_target, group)
-    c = rng.uniform(0.0, bound, n)
-    observed = np.minimum(times, c)
-    event = np.where(times <= c, cause, 0)
-    return GroupSample(observed, event, group)
+    return GroupSample(*_draw_arm(spec, group, n, rng, bound), group)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +306,8 @@ def calibrate_censoring(
     key = (spec.generator_key(), group, target, n_draw)
     if key in _censor_cache:
         return _censor_cache[key]
+    from scipy.optimize import brentq
+
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=_CAL_SEED, spawn_key=(group,))
     )

@@ -15,6 +15,12 @@ Every replicate draws from its own counter-derived substream
 (numpy PCG64 seeded by SeedSequence(seed, spawn_key=(phase, index))),
 so results are identical for any worker count or execution order, and
 every reported metric carries a Monte-Carlo standard error.
+
+Replicates are computed in blocks of at most ``_BLOCK_ROWS`` rows as
+array passes over (rows x subjects), with the same arithmetic as the
+scalar estimators. A row whose pooled times contain a tie, or whose
+tests would be degenerate, is recomputed by the scalar
+``run_replicate``, so ties stay exact and errors are the scalar ones.
 """
 
 from __future__ import annotations
@@ -24,12 +30,27 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .data import select_tau
 from .design import DesignInput, sample_size
 from .errors import SimulationError
-from .inference import GrayResult, RmtldResult, gray_test, rmtld_test
-from .scenarios import ScenarioSpec, calibrate_censoring, generate_group, true_rmtld
+from .inference import (
+    GrayResult,
+    RmtldResult,
+    _gray_rows,
+    _normal_test,
+    _rmtl_rows,
+    gray_test,
+    rmtld_test,
+)
+from .scenarios import (
+    ScenarioSpec,
+    _draw_arm,
+    calibrate_censoring,
+    generate_group,
+    true_rmtld,
+)
 
 __all__ = [
     "SimulationReport",
@@ -45,6 +66,14 @@ SCHEMA_VERSION = 1
 _PHASE_MAIN = 0
 _PHASE_PILOT = 1
 _PHASE_POWER = 2
+
+# Replicates per array pass. Rows are computed independently, so any
+# block size gives the same bits; larger blocks only add peak memory
+# (100-row blocks of a 300/300 cell already cost megabytes).
+_BLOCK_ROWS = 32
+
+# per-replicate outputs of the block path; NaN where not computed
+_FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "p", "gray_p")
 
 
 @dataclass
@@ -153,30 +182,123 @@ def run_replicate(
     return res, gray_test(s0, s1, cause=1) if gray else None
 
 
-def _chunk_worker(args):
-    spec, seed, indices, options = args
-    return [run_replicate(spec, seed, i, **options) for i in indices]
+def _scalar_row(outcome) -> dict:
+    """One ``run_replicate`` outcome in the block path's fields."""
+    if outcome is None:
+        return {**dict.fromkeys(_FIELDS, math.nan), "unusable": True}
+    res, gray = outcome
+    return {
+        "tau": res.tau,
+        "delta": res.delta,
+        "variance": res.variance,
+        "var0": res.group0.variance,
+        "var1": res.group1.variance,
+        "ci_low": res.ci_low,
+        "ci_high": res.ci_high,
+        "p": res.p,
+        "gray_p": math.nan if gray is None else gray.p,
+        "unusable": False,
+    }
 
 
-def _map_replicates(spec, seed, reps, options, workers):
-    if workers <= 1:
-        return [run_replicate(spec, seed, i, **options) for i in range(reps)]
-    chunks = np.array_split(np.arange(reps), workers * 4)
-    jobs = [(spec, seed, chunk.tolist(), options) for chunk in chunks if chunk.size]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk_worker, jobs):
-            out.extend(part)
+def _replicate_block(
+    spec: ScenarioSpec,
+    seed: int,
+    indices,
+    phase: int = _PHASE_MAIN,
+    n0: int | None = None,
+    n1: int | None = None,
+    fixed_tau: float | None = None,
+    alpha: float = 0.05,
+    gray: bool = True,
+) -> dict:
+    """``run_replicate`` for every substream index in ``indices`` at once.
+
+    Returns one array per name in ``_FIELDS`` plus the ``unusable`` mask,
+    a row per index, with the same values ``run_replicate`` gives. Rows
+    with tied pooled times or a non-positive RMTL or Gray variance (a
+    row without cause-1 events has both) are handed to ``run_replicate``
+    itself, so they get its exact tie handling and its errors.
+    """
+    n0 = spec.n0 if n0 is None else n0
+    n1 = spec.n1 if n1 is None else n1
+    rows = len(indices)
+    bounds = _bounds_for(spec)
+    t = np.empty((rows, n0 + n1))
+    e = np.empty((rows, n0 + n1), dtype=np.int64)
+    for r, i in enumerate(indices):
+        rng = _rng_for(seed, phase, i)
+        t[r, :n0], e[r, :n0] = _draw_arm(spec, 0, n0, rng, bounds[0])
+        t[r, n0:], e[r, n0:] = _draw_arm(spec, 1, n1, rng, bounds[1])
+
+    tau = np.minimum(t[:, :n0].max(axis=1), t[:, n0:].max(axis=1))
+    unusable = np.zeros(rows, dtype=bool)
+    if fixed_tau is not None:
+        unusable = tau < fixed_tau
+        tau = np.full(rows, fixed_tau)
+    order = np.argsort(t, axis=1, kind="stable")
+    ts = np.take_along_axis(t, order, axis=1)
+    es = np.take_along_axis(e, order, axis=1)
+    arm = order >= n0
+    mu0, var0 = _rmtl_rows(ts[~arm].reshape(rows, n0), es[~arm].reshape(rows, n0), tau)
+    mu1, var1 = _rmtl_rows(ts[arm].reshape(rows, n1), es[arm].reshape(rows, n1), tau)
+    delta = mu1 - mu0
+    variance = var0 + var1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
+    scalar = np.any(np.diff(ts, axis=1) == 0.0, axis=1) | (variance <= 0.0)
+    gray_p = np.full(rows, math.nan)
+    if gray:
+        stat, gray_var = _gray_rows(ts, es, arm, order, n0)
+        gray_p = chdtrc(1, stat)
+        scalar |= gray_var <= 0.0
+
+    out = {
+        "tau": tau, "delta": delta, "variance": variance, "var0": var0, "var1": var1,
+        "ci_low": ci_low, "ci_high": ci_high, "p": p, "gray_p": gray_p,
+    }
+    for name in _FIELDS:
+        out[name][unusable] = math.nan
+    out["unusable"] = unusable
+    options = (phase, n0, n1, fixed_tau, alpha, gray)
+    for r in np.flatnonzero(scalar & ~unusable):
+        for name, value in _scalar_row(run_replicate(spec, seed, indices[r], *options)).items():
+            out[name][r] = value
     return out
 
 
+def _replicate_rows(spec, seed, indices, options) -> dict:
+    """``_replicate_block`` over ``indices`` in blocks of ``_BLOCK_ROWS``."""
+    parts = [
+        _replicate_block(spec, seed, indices[k : k + _BLOCK_ROWS], **options)
+        for k in range(0, len(indices), _BLOCK_ROWS)
+    ]
+    return _concat(parts)
+
+
+def _concat(parts) -> dict:
+    """Join block results in order; no blocks give zero rows."""
+    empty = {**{name: np.empty(0) for name in _FIELDS}, "unusable": np.empty(0, dtype=bool)}
+    return {name: np.concatenate([empty[name], *(part[name] for part in parts)]) for name in empty}
+
+
+def _chunk_worker(args):
+    spec, seed, indices, options = args
+    return _replicate_rows(spec, seed, indices, options)
+
+
+def _map_replicates(spec, seed, reps, options, workers) -> dict:
+    if workers <= 1:
+        return _replicate_rows(spec, seed, range(reps), options)
+    _bounds_for(spec)  # calibrate here, so forked workers inherit the cached bounds
+    chunks = np.array_split(np.arange(reps), workers * 4)
+    jobs = [(spec, seed, chunk.tolist(), options) for chunk in chunks if chunk.size]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _concat(list(pool.map(_chunk_worker, jobs)))
+
+
 def _bounds_for(spec: ScenarioSpec) -> dict:
-    return {
-        g: calibrate_censoring(spec, spec.censor_target, g)
-        if spec.censor_target
-        else None
-        for g in (0, 1)
-    }
+    return {g: calibrate_censoring(spec, spec.censor_target, g) for g in (0, 1)}
 
 
 def run_estimation_study(
@@ -205,8 +327,8 @@ def run_estimation_study(
         {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False},
         workers,
     )
-    usable = [r[0] for r in records if r is not None]
-    n_bad = reps - len(usable)
+    usable = ~records["unusable"]
+    n_bad = reps - int(np.count_nonzero(usable))
     if n_bad > reps / 2:
         raise SimulationError(
             f"{n_bad}/{reps} replicates end before tau={fixed_tau}; "
@@ -218,9 +340,11 @@ def run_estimation_study(
                 "censor_bounds": _bounds_for(spec),
             },
         )
-    deltas = np.array([r.delta for r in usable])
-    ses = np.array([math.sqrt(r.variance) for r in usable])
-    cover = np.array([(r.ci_low <= truth <= r.ci_high) for r in usable], dtype=float)
+    deltas = records["delta"][usable]
+    ses = np.sqrt(records["variance"][usable])
+    cover = (
+        (records["ci_low"][usable] <= truth) & (truth <= records["ci_high"][usable])
+    ).astype(float)
     n_use = deltas.size
 
     sd = float(np.std(deltas, ddof=1))
@@ -271,9 +395,7 @@ def run_power_study(
     if reps < 100:
         raise ValueError("reps must be at least 100")
     records = _map_replicates(spec, seed, reps, {"alpha": alpha}, workers)
-    p_rmtld = np.array([res.p for res, _ in records])
-    p_gray = np.array([gray.p for _, gray in records])
-    taus = np.array([res.tau for res, _ in records])
+    p_rmtld, p_gray, taus = records["p"], records["gray_p"], records["tau"]
 
     report = SimulationReport(
         mode="power",
@@ -324,9 +446,9 @@ def run_samplesize_validation(
             {"phase": _PHASE_PILOT, "n0": n0_cur, "n1": n1_cur, "gray": False},
             workers,
         )
-        delta_bar = float(np.mean([res.delta for res, _ in pilot]))
-        sig0_bar = float(np.mean([n0_cur * res.group0.variance for res, _ in pilot]))
-        sig1_bar = float(np.mean([n1_cur * res.group1.variance for res, _ in pilot]))
+        delta_bar = float(np.mean(pilot["delta"]))
+        sig0_bar = float(np.mean(n0_cur * pilot["var0"]))
+        sig1_bar = float(np.mean(n1_cur * pilot["var1"]))
         inputs = DesignInput(
             delta=delta_bar,
             sigma0_sq=sig0_bar,
@@ -345,8 +467,7 @@ def run_samplesize_validation(
         {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha},
         workers,
     )
-    p_rmtld = np.array([res.p for res, _ in records])
-    p_gray = np.array([gray.p for _, gray in records])
+    p_rmtld, p_gray = records["p"], records["gray_p"]
 
     report = SimulationReport(
         mode="samplesize",

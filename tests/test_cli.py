@@ -1,10 +1,18 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmtlkit
+from rmtlkit import estimators
 from rmtlkit.cli import main
+from rmtlkit.data import ingest_csv
 from rmtlkit.scenarios import scenario, generate_group
 
 FIXTURE = "time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
@@ -60,6 +68,41 @@ def test_analyze_two_groups(fixture_csv, tmp_path, capsys):
         rows = list(csv.reader(open(tmp_path / f"curves_group{g}.csv")))
         assert rows[0] == ["time", "survival", "cif1", "cif2"]
         assert rows[1][0] == "0.0"
+
+
+def test_analyze_curves_builds_each_arm_once(fixture_csv, tmp_path, monkeypatch, capsys):
+    built = []
+    real = estimators.cif_pair
+
+    def counting(sample):
+        built.append(sample.group)
+        return real(sample)
+
+    monkeypatch.setattr(estimators, "cif_pair", counting)
+    assert main(["analyze", str(fixture_csv), "--curves", str(tmp_path / "c.csv")]) == 0
+    assert sorted(built) == [0, 1]
+    data = ingest_csv(str(fixture_csv))
+    for sample in (data.control, data.treatment):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["time", "survival", "cif1", "cif2"])
+        writer.writerows(estimators.curve_rows(real(sample)))
+        written = (tmp_path / f"c_group{sample.group}.csv").read_bytes()
+        assert written == expected.getvalue().encode()
+
+
+def test_cli_import_skips_stats_optimize_integrate():
+    code = (
+        "import sys, rmtlkit.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
+        "if m in sys.modules])"
+    )
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_analyze_identical_groups(tmp_path, capsys):

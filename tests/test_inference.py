@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr, ndtri
+from scipy.stats import chi2, norm
 
 from rmtlkit import (
     DegenerateTestError,
@@ -355,3 +356,15 @@ def test_gray_permutation_oracle():
     p_perm = hits / n_perm
     p_analytic = float(chi2.sf(obs, 1))
     assert abs(p_analytic - p_perm) < 0.02
+
+
+def test_special_functions_match_scipy_stats():
+    # p-values and quantiles come from scipy.special; on these grids they
+    # equal the scipy.stats distribution methods bit for bit
+    z = np.linspace(-40.0, 40.0, 200_001)
+    q = np.linspace(0.0, 1.0, 200_001)[1:-1]
+    x = np.linspace(0.0, 200.0, 200_001)
+    assert np.array_equal(ndtr(-z), norm.sf(z))
+    assert np.array_equal(ndtr(z), norm.cdf(z))
+    assert np.array_equal(ndtri(q), norm.ppf(q))
+    assert np.array_equal(chdtrc(1, x), chi2.sf(x, 1))
