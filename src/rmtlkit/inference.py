@@ -421,11 +421,12 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     return GrayResult(statistic=stat, p=float(chdtrc(1, stat)), cause=cause)
 
 
-def _gray_rows(t: np.ndarray, e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
+def _gray_rows(e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
     """Row-wise ``gray_test`` (cause 1) for a block of pooled two-arm
-    samples: ``t``, ``e`` and ``arm`` (True for the treatment arm) are
-    (rows, n) and each row is sorted with distinct times; ``order`` is
-    the per-row sort of the pooled draws, control subjects first.
+    samples: ``e`` and ``arm`` (True for the treatment arm) are the
+    (rows, n) event codes and arm labels of each row sorted by time,
+    with distinct times; ``order`` is that per-row sort of the pooled
+    draws, control subjects first. Only the order of the times matters.
 
     On distinct times the grid is the pooled row itself, and each arm's
     risk process, G(t-), compensators and residuals are masked prefix
@@ -434,7 +435,7 @@ def _gray_rows(t: np.ndarray, e: np.ndarray, arm: np.ndarray, order: np.ndarray,
     each arm's sum of squares is the same dot product. Returns
     ``(statistic, variance)`` per row.
     """
-    rows, n = t.shape
+    rows, n = e.shape
     grid = e == EVENT_INTEREST
     is_other = e == EVENT_COMPETING
     censored = e == EVENT_CENSORED

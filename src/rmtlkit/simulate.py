@@ -236,7 +236,8 @@ def _replicate_block(
     if fixed_tau is not None:
         unusable = tau < fixed_tau
         tau = np.full(rows, fixed_tau)
-    order = np.argsort(t, axis=1, kind="stable")
+    # rows with tied times are recomputed below, so any sort order will do
+    order = np.argsort(t, axis=1)
     ts = np.take_along_axis(t, order, axis=1)
     es = np.take_along_axis(e, order, axis=1)
     arm = order >= n0
@@ -249,7 +250,7 @@ def _replicate_block(
     scalar = np.any(np.diff(ts, axis=1) == 0.0, axis=1) | (variance <= 0.0)
     gray_p = np.full(rows, math.nan)
     if gray:
-        stat, gray_var = _gray_rows(ts, es, arm, order, n0)
+        stat, gray_var = _gray_rows(es, arm, order, n0)
         gray_p = chdtrc(1, stat)
         scalar |= gray_var <= 0.0
 
