@@ -201,15 +201,21 @@ def _rmtl_rows(t: np.ndarray, e: np.ndarray, tau: np.ndarray):
     )
     areas = np.where(keep, f1 * np.maximum(seg_end - t, 0.0), 0.0)
     tails = np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
+    # only the kept entries of the variance terms are summed
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = y * s_left
-        term1 = np.where(keep, ((taus - t) * (1.0 - f2) - tails) ** 2 / weight * df1, 0.0)
-        term2 = np.where(keep, ((taus - t) * f1 - tails) ** 2 / weight * df2, 0.0)
-    mu = np.array([math.fsum(row) for row in areas.tolist()])
-    var = np.array(
-        [max(math.fsum(a) + math.fsum(b), 0.0) for a, b in zip(term1.tolist(), term2.tolist())]
-    )
-    return mu, var
+        term1 = ((taus - t) * (1.0 - f2) - tails) ** 2 / weight * df1
+        term2 = ((taus - t) * f1 - tails) ** 2 / weight * df2
+    var = np.maximum(_row_fsums(term1, keep) + _row_fsums(term2, keep), 0.0)
+    return _row_fsums(areas, keep), var
+
+
+def _row_fsums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of the masked entries of each row of ``values``:
+    the correctly rounded sums the scalar code takes over its knots."""
+    flat = memoryview(values[mask])
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return np.array([math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEstimate:
@@ -457,7 +463,7 @@ def _gray_rows(e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
         r_pool = r0 + r1
         pooled = r_pool > 0
         d1 = (grid & arm).astype(float)
-        score = np.where(grid, d1 - np.where(pooled, r1 / r_pool * d_pool, 0.0), 0.0)
+        score = d1 - np.where(pooled, r1 / r_pool * d_pool, 0.0)
         k_w = np.where(pooled, r1 * r0 / r_pool, 0.0)
         dlam = np.where(pooled, d_pool / r_pool, 0.0)
 
@@ -475,7 +481,7 @@ def _gray_rows(e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
 
     by_subject = np.empty_like(eta)
     np.put_along_axis(by_subject, order, eta, axis=1)
-    z = np.array([math.fsum(row) for row in score.tolist()])
+    z = _row_fsums(score, grid)
     var = np.array(
         [0.0 + np.dot(row[:n0], row[:n0]) + np.dot(row[n0:], row[n0:]) for row in by_subject]
     )

@@ -280,7 +280,9 @@ def _replicate_rows(spec, seed, indices, options) -> dict:
 def _concat(parts) -> dict:
     """Join block results in order; no blocks give zero rows."""
     empty = {**{name: np.empty(0) for name in _FIELDS}, "unusable": np.empty(0, dtype=bool)}
-    return {name: np.concatenate([empty[name], *(part[name] for part in parts)]) for name in empty}
+    return {
+        name: np.concatenate([empty[name], *(part[name] for part in parts)]) for name in empty
+    }
 
 
 def _chunk_worker(args):
