@@ -1,8 +1,8 @@
 """The block replicate path against the scalar ``run_replicate``.
 
 Without ties the block kernel adds the same terms in the same order as
-the scalar estimators, so its rows must equal the scalar results bit for
-bit; rows it cannot compute that way go to ``run_replicate`` itself.
+the scalar estimators, so its rows must equal the scalar results
+exactly; rows it cannot compute that way go to ``run_replicate`` itself.
 """
 
 import numpy as np
