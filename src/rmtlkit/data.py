@@ -134,23 +134,49 @@ def build_event_table(sample: GroupSample) -> EventTable:
     under permutation of the input records. A sample with no events
     yields an empty table.
     """
-    is_event = sample.event != EVENT_CENSORED
-    if not np.any(is_event):
-        empty = np.array([], dtype=float)
-        zero = np.array([], dtype=np.int64)
-        return EventTable(empty, zero, zero.copy(), zero.copy())
-    etimes = sample.time[is_event]
-    ecodes = sample.event[is_event]
-    times = np.unique(etimes)
-    d1 = np.zeros(times.size, dtype=np.int64)
-    d2 = np.zeros(times.size, dtype=np.int64)
-    idx = np.searchsorted(times, etimes)
-    np.add.at(d1, idx[ecodes == EVENT_INTEREST], 1)
-    np.add.at(d2, idx[ecodes == EVENT_COMPETING], 1)
-    sorted_all = np.sort(sample.time)
-    # Y(t) = #{observed time >= t}; side="left" keeps exact ties in the risk set
-    at_risk = sample.n - np.searchsorted(sorted_all, times, side="left")
-    return EventTable(times, d1, d2, at_risk.astype(np.int64))
+    order = np.argsort(sample.time)
+    times, counts, at_risk, _ = _tie_groups(
+        sample.time[order][None], sample.event[order][None], 3
+    )
+    d1, d2 = counts[EVENT_INTEREST, 0], counts[EVENT_COMPETING, 0]
+    event = d1 + d2 > 0
+    return EventTable(
+        times[0, event], *(a[event].astype(np.int64) for a in (d1, d2, at_risk[0, 0]))
+    )
+
+
+def _tie_groups(ts: np.ndarray, labels: np.ndarray, n_labels: int):
+    """Pool the runs of equal times in each row of ``ts`` (rows, n), a
+    block of rows sorted by time; a run is one tie group.
+
+    ``labels`` gives each position's arm * 3 + event code, below
+    ``n_labels``. Returns ``(times, counts, at_risk, key)``:
+
+    * ``times[r, g]``: the time of group g of row r (inf past the row's
+      last group, where every count is 0);
+    * ``counts[label, r, g]``: its subjects with that label;
+    * ``at_risk[arm, r, g]``: that arm's subjects at or after it. The
+      risk set is taken at the start of the group, so a subject
+      censored at an event time stays at risk there;
+    * ``key[r, i]``: the flat index ``r * K + g`` of position i's group.
+    """
+    rows, n = ts.shape
+    new = np.ones((rows, n), dtype=bool)
+    np.not_equal(ts[:, 1:], ts[:, :-1], out=new[:, 1:])
+    # in place, so a one-row call on a large file holds few subject-length arrays
+    key = np.cumsum(new, axis=1)
+    width = int(key[:, -1].max())
+    key += width * np.arange(rows)[:, None] - 1
+    size = rows * width
+    index = labels * size
+    index += key
+    counts = np.bincount(index.ravel(), minlength=n_labels * size).reshape(n_labels, rows, width)
+    by_arm = counts.reshape(-1, 3, rows, width)
+    size_by_arm = by_arm[:, 0] + by_arm[:, 1] + by_arm[:, 2]
+    at_risk = np.cumsum(size_by_arm[..., ::-1], axis=-1)[..., ::-1]
+    times = np.full(size, np.inf)
+    times[key] = ts  # every position of a group holds the same time
+    return times.reshape(rows, width), counts, at_risk, key
 
 
 def select_tau(sample0: GroupSample, sample1: GroupSample) -> float:

@@ -72,15 +72,22 @@ def cif_pair(sample: GroupSample) -> CifPair:
     times t_i <= t, where S(t_i-) is the survival just before t_i.
     """
     table = build_event_table(sample)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = 1.0 - (table.d1 + table.d2) / table.at_risk
-    surv = np.clip(np.cumprod(factors), 0.0, 1.0)
-    s_left = np.concatenate(([1.0], surv[:-1]))
-    cif1, cif2 = (
-        np.clip(np.cumsum((d / table.at_risk) * s_left), 0.0, 1.0)
-        for d in (table.d1, table.d2)
-    )
+    surv, _, _, _, cif1, cif2 = _incidence(table.d1, table.d2, table.at_risk)
     return CifPair(table=table, survival=surv, cif1=cif1, cif2=cif2)
+
+
+def _incidence(d1, d2, y):
+    """The curves of ``cif_pair`` along the last axis of per-time
+    cause-1 and cause-2 counts and risk sets (one event table, or rows
+    of them): ``(S, S(t-), dF1, dF2, F1, F2)``. A time without events
+    multiplies S by exactly 1 and adds exactly 0 to each F_j.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        surv = np.clip(np.cumprod(1.0 - (d1 + d2) / y, axis=-1), 0.0, 1.0)
+        s_left = np.concatenate((np.ones_like(surv[..., :1]), surv[..., :-1]), axis=-1)
+        df1, df2 = (d / y * s_left for d in (d1, d2))
+    f1, f2 = (np.clip(np.cumsum(df, axis=-1), 0.0, 1.0) for df in (df1, df2))
+    return surv, s_left, df1, df2, f1, f2
 
 
 def _sample_curves(sample: GroupSample) -> CifPair:

@@ -6,12 +6,17 @@ approximation: a two-term sum over event times whose integrands combine
 the incidence curves, the risk set, and the exact tail integrals of the
 cause-1 curve. The between-group difference is tested against a normal
 reference; Gray's test (rho = 0) is provided as a comparator.
+
+Both are computed by row kernels, ``_rmtl_rows`` and ``_gray_rows``,
+over blocks of samples: the simulation engine passes many replicates
+at once, and ``rmtl``, ``variance_rmtl``, ``rmtld_test`` and
+``gray_test`` pass one. The kernels work on tie groups (runs of equal
+times), so tied and untied data take the same path.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +26,13 @@ from .data import (
     EVENT_CENSORED,
     EVENT_COMPETING,
     EVENT_INTEREST,
+    EventTable,
     GroupSample,
-    build_event_table,
+    _tie_groups,
     select_tau,
 )
 from .errors import DegenerateTestError, ExtrapolationError
-from .estimators import CifPair, _sample_curves
+from .estimators import CifPair, _incidence, _sample_curves
 
 __all__ = [
     "RmtlEstimate",
@@ -37,6 +43,9 @@ __all__ = [
     "rmtld_test",
     "gray_test",
 ]
+
+_RMTL_UNDEFINED = "both groups are event-free before tau; the test is undefined"
+_GRAY_ZERO_VARIANCE = "degenerate Gray test: zero variance"
 
 
 @dataclass(frozen=True)
@@ -101,124 +110,71 @@ class GrayResult:
         return {"statistic": self.statistic, "p": self.p, "cause": self.cause}
 
 
-def variance_rmtl(pair: CifPair, tau: float, survival_eval: str = "left") -> float:
+def variance_rmtl(pair: CifPair, tau: float) -> float:
     """Variance of the RMTL estimate from the martingale approximation.
 
     Discretized as a sum over event times t_i <= tau:
 
-        sum_i  { (tau-t_i)(1-F2(t_i)) - A(t_i) }^2 / (Y_i * S_w(t_i)) * dF1(t_i)
-             + { (tau-t_i) F1(t_i)    - A(t_i) }^2 / (Y_i * S_w(t_i)) * dF2(t_i)
+        sum_i  { (tau-t_i)(1-F2(t_i)) - A(t_i) }^2 / (Y_i * S(t_i-)) * dF1(t_i)
+             + { (tau-t_i) F1(t_i)    - A(t_i) }^2 / (Y_i * S(t_i-)) * dF2(t_i)
 
     with dFj(t_i) = (d_ij / Y_i) * S(t_i-) and A(t) the exact tail
-    integral of F1 over [t, tau]. ``survival_eval`` picks the survival
-    value in the weight: the left limit S(t_i-) (default, always finite
-    while events remain) or the right value S(t_i) for sensitivity
-    checks. A singular weight (possible only at the final event time
-    under "right") drops that term and emits a RuntimeWarning.
+    integral of F1 over [t, tau]. The weight S(t_i-) is positive at
+    every event time: it vanishes only after the last subject at risk
+    has failed.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive (got {tau})")
-    if survival_eval not in ("left", "right"):
-        raise ValueError("survival_eval must be 'left' or 'right'")
-    table = pair.table
-    if table.n_times == 0:
-        return 0.0
-    keep = table.times <= tau
-    if not np.any(keep):
-        return 0.0
-    t = table.times[keep]
-    d1 = table.d1[keep].astype(float)
-    d2 = table.d2[keep].astype(float)
-    y = table.at_risk[keep].astype(float)
-
-    s_right = pair.survival[: t.size]
-    s_left = np.concatenate(([1.0], pair.survival[: t.size - 1]))
-    f1 = pair.cif1[: t.size]
-    f2 = pair.cif2[: t.size]
-
-    # Exact tail integrals A_i = integral of F1 over [t_i, tau]: F1 is
-    # constant on [t_i, t_{i+1}), so accumulate segment areas from the right.
-    seg_ends = np.concatenate((t[1:], [tau]))
-    seg_ends = np.minimum(seg_ends, tau)
-    areas = f1 * np.clip(seg_ends - t, 0.0, None)
-    tails = np.cumsum(areas[::-1])[::-1]
-
-    df1 = (d1 / y) * s_left
-    df2 = (d2 / y) * s_left
-    s_w = s_left if survival_eval == "left" else s_right
-
-    singular = (s_w <= 0.0) & ((df1 > 0) | (df2 > 0))
-    if np.any(singular):
-        warnings.warn(
-            "survival weight vanished at the final event time; "
-            f"{int(singular.sum())} variance term(s) skipped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    ok = ~singular
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = np.where(
-            ok, ((tau - t) * (1.0 - f2) - tails) ** 2 / (y * s_w) * df1, 0.0
-        )
-        term2 = np.where(
-            ok, ((tau - t) * f1 - tails) ** 2 / (y * s_w) * df2, 0.0
-        )
-    var = math.fsum(term1) + math.fsum(term2)
-    return max(var, 0.0)
+    return _table_rmtl(pair.table, tau)[1]
 
 
-def _rmtl_rows(t: np.ndarray, e: np.ndarray, tau: np.ndarray):
-    """Row-wise ``rmtl`` (left survival weight) for a block of one-arm
-    samples: ``t`` and ``e`` are (rows, n) times and event codes, each
-    row sorted with distinct times, ``tau`` the per-row restriction.
+def _table_rmtl(table: EventTable, tau: float) -> tuple[float, float]:
+    """``_rmtl_rows`` on one event table: ``(mu, variance)``."""
+    rows = (a[None] for a in (table.times, table.d1, table.d2, table.at_risk))
+    mu, var = _rmtl_rows(*rows, np.array([tau]))
+    return float(mu[0]), float(var[0])
 
-    Without ties every position is its own risk-set step (Y = n - rank)
-    and a censored position multiplies by exactly 1 or adds exactly 0,
-    so the curves, segment areas, tail integrals and variance terms are
-    the values ``cif_pair`` and ``variance_rmtl`` compute, and the
-    compensated per-row sums match them bit for bit. The survival weight
-    S(t-) is positive at every event: it vanishes only after the last
-    subject at risk has failed. Returns ``(mu, variance)`` per row.
+
+def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):
+    """RMTL and its variance (``variance_rmtl``) for each row of a block
+    of one-arm samples, given as (rows, K) per-time cause-1 and cause-2
+    counts ``d1``, ``d2`` and risk sets ``y`` at increasing ``times``,
+    with ``tau`` the per-row restriction. A time without events (a
+    censoring-only tie group, or padding) adds exactly 0 everywhere, so
+    each row gives the values of its own event table. The RMTL and the
+    two variance sums are ``math.fsum`` over the kept event times.
+    Returns ``(mu, variance)`` per row.
     """
-    rows, n = t.shape
-    y = np.arange(n, 0, -1, dtype=float)
-    d1 = e == EVENT_INTEREST
-    d2 = e == EVENT_COMPETING
-    event = d1 | d2
-    surv = np.clip(np.cumprod(1.0 - event / y, axis=1), 0.0, 1.0)
-    s_left = np.concatenate((np.ones((rows, 1)), surv[:, :-1]), axis=1)
-    df1 = d1 / y * s_left
-    df2 = d2 / y * s_left
-    f1 = np.clip(np.cumsum(df1, axis=1), 0.0, 1.0)
-    f2 = np.clip(np.cumsum(df2, axis=1), 0.0, 1.0)
-
+    _, s_left, df1, df2, f1, f2 = _incidence(d1, d2, y)
     taus = tau[:, None]
-    keep = event & (t <= taus)
+    event = d1 + d2 > 0
+    keep = event & (times <= taus)
     # F1 holds from each event time to the next one (or to tau)
-    next_event = np.minimum.accumulate(np.where(event, t, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    next_event = np.minimum.accumulate(np.where(event, times, np.inf)[:, ::-1], axis=1)[:, ::-1]
     seg_end = np.minimum(
-        np.concatenate((next_event[:, 1:], np.full((rows, 1), np.inf)), axis=1), taus
+        np.concatenate((next_event[:, 1:], np.full((times.shape[0], 1), np.inf)), axis=1), taus
     )
-    areas = np.where(keep, f1 * np.maximum(seg_end - t, 0.0), 0.0)
+    with np.errstate(invalid="ignore"):
+        areas = np.where(keep, f1 * np.maximum(seg_end - times, 0.0), 0.0)
     tails = np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
     # only the kept entries of the variance terms are summed
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = y * s_left
-        term1 = ((taus - t) * (1.0 - f2) - tails) ** 2 / weight * df1
-        term2 = ((taus - t) * f1 - tails) ** 2 / weight * df2
+        term1 = ((taus - times) * (1.0 - f2) - tails) ** 2 / weight * df1
+        term2 = ((taus - times) * f1 - tails) ** 2 / weight * df2
     var = np.maximum(_row_fsums(term1, keep) + _row_fsums(term2, keep), 0.0)
     return _row_fsums(areas, keep), var
 
 
 def _row_fsums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``math.fsum`` of the masked entries of each row of ``values``:
-    the correctly rounded sums the scalar code takes over its knots."""
+    correctly rounded, so neither their order nor added zeros matter."""
     flat = memoryview(values[mask])
     ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
     return np.array([math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)])
 
 
-def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEstimate:
+def rmtl(sample: GroupSample, tau: float) -> RmtlEstimate:
     """RMTL point estimate and variance for one group over [0, tau].
 
     ``tau`` must be positive and must not exceed the group's maximum
@@ -230,9 +186,7 @@ def rmtl(sample: GroupSample, tau: float, survival_eval: str = "left") -> RmtlEs
         raise ExtrapolationError(
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
         )
-    pair = _sample_curves(sample)
-    mu = pair.integrate("cif1", tau)
-    var = variance_rmtl(pair, tau, survival_eval=survival_eval)
+    mu, var = _table_rmtl(_sample_curves(sample).table, tau)
     return RmtlEstimate(mu=mu, variance=var, tau=tau, n=sample.n)
 
 
@@ -241,7 +195,6 @@ def rmtld_test(
     sample1: GroupSample,
     tau: float | None = None,
     alpha: float = 0.05,
-    survival_eval: str = "left",
 ) -> RmtldResult:
     """Two-sided test of equal RMTL between groups at restriction ``tau``.
 
@@ -259,14 +212,12 @@ def rmtld_test(
         raise ExtrapolationError(
             f"tau={tau} exceeds the shorter maximum follow-up {tau_max}"
         )
-    est0 = rmtl(sample0, tau, survival_eval=survival_eval)
-    est1 = rmtl(sample1, tau, survival_eval=survival_eval)
+    est0 = rmtl(sample0, tau)
+    est1 = rmtl(sample1, tau)
     delta = est1.mu - est0.mu
     var = est0.variance + est1.variance
     if var <= 0.0:
-        raise DegenerateTestError(
-            "both groups are event-free before tau; the test is undefined"
-        )
+        raise DegenerateTestError(_RMTL_UNDEFINED)
     z, p, ci_low, ci_high = (float(v) for v in _normal_test(delta, var, alpha))
     return RmtldResult(
         delta=delta,
@@ -291,64 +242,6 @@ def _normal_test(delta, var, alpha):
     return z, np.minimum(2.0 * ndtr(-np.abs(z)), 1.0), delta - zq * se, delta + zq * se
 
 
-def _censoring_km(time, event):
-    """Kaplan-Meier of the censoring distribution (reverse KM).
-
-    Returns (times, g) with g[i] the censoring-survival value at the
-    i-th distinct observed time; left limits follow by shifting.
-    """
-    order = np.argsort(time, kind="stable")
-    t_sorted = time[order]
-    cens_sorted = (event[order] == EVENT_CENSORED).astype(float)
-    times, start = np.unique(t_sorted, return_index=True)
-    counts = np.diff(np.concatenate((start, [t_sorted.size])))
-    d_cens = np.add.reduceat(cens_sorted, start)
-    n = time.size
-    at_risk = n - np.concatenate(([0], np.cumsum(counts)))[:-1]
-    factors = 1.0 - d_cens / at_risk
-    return times, np.cumprod(factors)
-
-
-def _gray_group_arrays(sample: GroupSample, cause: int, other: int, grid: np.ndarray):
-    """Per-group ingredients of the Gray score on a pooled time grid.
-
-    Returns ``(r, d, g_grid, g_other)``: the weighted risk process R_k on
-    the grid, the cause-event counts on the grid, the censoring survival
-    G(t-) on the grid, and G(T_i-) at each competing-cause subject's own
-    time (in sample order). Subjects who fail from the competing cause
-    stay in the risk set, discounted by the ratio G(t-)/G(T_i-).
-    """
-    time = sample.time
-    event = sample.event
-    km_t, g_right = _censoring_km(time, event)
-    g_padded = np.concatenate(([1.0], g_right))
-    # G(t-): value of the last distinct time strictly before t
-    g_grid = g_padded[np.searchsorted(km_t, grid, side="left")]
-
-    # direct risk-set part: subjects with observed time >= t
-    t_sorted = np.sort(time)
-    n_at_risk = time.size - np.searchsorted(t_sorted, grid, side="left")
-
-    # discounted part from competing-cause subjects beyond their event time
-    comp_times = time[event == other]
-    g_other = g_padded[np.searchsorted(km_t, comp_times, side="left")]
-    order = np.argsort(comp_times, kind="stable")
-    comp_sorted = comp_times[order]
-    inv_g_sorted = np.where(g_other[order] > 0, 1.0 / g_other[order], 0.0)
-    cum_inv = np.concatenate(([0.0], np.cumsum(inv_g_sorted)))
-    # count competing events strictly before each grid time
-    n_before = np.searchsorted(comp_sorted, grid, side="left")
-    weighted = g_grid * cum_inv[n_before]
-
-    r_k = n_at_risk + weighted
-
-    # the grid holds every cause time of both groups, so each is found exactly
-    d_cause = np.zeros(grid.size)
-    np.add.at(d_cause, np.searchsorted(grid, time[event == cause]), 1.0)
-
-    return r_k, d_cause, g_grid, g_other
-
-
 def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> GrayResult:
     """Gray's two-sample test (rho = 0) comparing the cumulative
     incidence of one cause between groups.
@@ -360,127 +253,87 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     """
     if cause not in (1, 2):
         raise ValueError("cause must be 1 or 2")
-    grid = np.unique(
-        np.concatenate(
-            (
-                sample0.time[sample0.event == cause],
-                sample1.time[sample1.event == cause],
-            )
-        )
-    )
-    if grid.size == 0:
+    e = np.concatenate((sample0.event, sample1.event))[None]
+    if not np.any(e == cause):
         raise DegenerateTestError(f"no events of cause {cause} in either group")
-
-    other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
-    r0, d0, g_grid0, g_other0 = _gray_group_arrays(sample0, cause, other, grid)
-    r1, d1, g_grid1, g_other1 = _gray_group_arrays(sample1, cause, other, grid)
-    r_pool = r0 + r1
-    d_pool = d0 + d1
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score_terms = d1 - np.where(r_pool > 0, r1 / r_pool * d_pool, 0.0)
-    z = math.fsum(score_terms)
-
-    # variance from per-subject residuals of the weighted score
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_w = np.where(r_pool > 0, r1 * r0 / r_pool, 0.0)
-        dlam = np.where(r_pool > 0, d_pool / r_pool, 0.0)
-
-    var = 0.0
-    for sample, r_k, g_grid, g_other, sign in (
-        (sample0, r0, g_grid0, g_other0, -1.0),
-        (sample1, r1, g_grid1, g_other1, 1.0),
-    ):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(r_k > 0, k_w / r_k, 0.0)
-        c_dlam = c * dlam
-        prefix = np.concatenate(([0.0], np.cumsum(c_dlam)))
-        suffix_weighted = np.concatenate(
-            (np.cumsum((c_dlam * g_grid)[::-1])[::-1], [0.0])
-        )
-
-        time, event = sample.time, sample.event
-        # compensator while under direct observation: event times <= own time
-        upto = np.searchsorted(grid, time, side="right")
-        comp = prefix[upto]
-        # discounted compensator after a competing event
-        is_other = event == other
-        if np.any(is_other):
-            after = suffix_weighted[upto[is_other]]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                comp_other = np.where(g_other > 0, after / g_other, 0.0)
-            comp[is_other] += comp_other
-        # event part for own cause-j events
-        ev = np.zeros(time.size)
-        is_cause = event == cause
-        if np.any(is_cause):
-            pos = np.searchsorted(grid, time[is_cause])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ev_val = np.where(r_k[pos] > 0, k_w[pos] / r_k[pos], 0.0)
-            ev[is_cause] = ev_val
-        eta = sign * (ev - comp)
-        var += float(np.dot(eta, eta))
-
-    if var <= 0.0:
-        raise DegenerateTestError("degenerate Gray test: zero variance")
-    stat = z * z / var
-    return GrayResult(statistic=stat, p=float(chdtrc(1, stat)), cause=cause)
+    t = np.concatenate((sample0.time, sample1.time))[None]
+    stat, var = _gray_rows(t, e, np.argsort(t, axis=1), sample0.n, cause)
+    if var[0] <= 0.0:
+        raise DegenerateTestError(_GRAY_ZERO_VARIANCE)
+    return GrayResult(statistic=float(stat[0]), p=float(chdtrc(1, stat[0])), cause=cause)
 
 
-def _gray_rows(e: np.ndarray, arm: np.ndarray, order: np.ndarray, n0: int):
-    """Row-wise ``gray_test`` (cause 1) for a block of pooled two-arm
-    samples: ``e`` and ``arm`` (True for the treatment arm) are the
-    (rows, n) event codes and arm labels of each row sorted by time,
-    with distinct times; ``order`` is that per-row sort of the pooled
-    draws, control subjects first. Only the order of the times matters.
+def _subject_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-row running sums, before each group, of ``values[r, g]``
+    added once per subject: ``counts[r, g]`` equal terms, one at a time
+    (a tie group's terms are not multiplied out), so each sum is the
+    one a subject-by-subject ``cumsum`` gives."""
+    rows = counts.shape[0]
+    per_row = counts.sum(axis=1)
+    width = int(per_row.max())
+    # each row's terms after a leading 0, then 0s up to a common width
+    zeros = np.zeros((rows, 1))
+    reps = np.concatenate(
+        (np.ones((rows, 1), dtype=counts.dtype), counts, (width - per_row)[:, None]), axis=1
+    )
+    terms = np.repeat(np.concatenate((zeros, values, zeros), axis=1).ravel(), reps.ravel())
+    before = np.cumsum(counts, axis=1) - counts + (width + 1) * np.arange(rows)[:, None]
+    return np.cumsum(terms.reshape(rows, -1), axis=1).ravel()[before]
 
-    On distinct times the grid is the pooled row itself, and each arm's
-    risk process, G(t-), compensators and residuals are masked prefix
-    and suffix sums along it that add the same terms in the same order
-    as ``gray_test``; the residuals are put back in sample order so that
-    each arm's sum of squares is the same dot product. Returns
-    ``(statistic, variance)`` per row.
+
+def _gray_rows(t, e, order, n0: int, cause: int):
+    """Row-wise ``gray_test`` for a block of pooled two-arm samples:
+    ``t`` and ``e`` hold each row's times and event codes, control arm
+    first (columns below ``n0``), and ``order`` each row's sort by time.
+
+    Every per-time quantity lives on the row's tie groups: each arm's
+    risk set at the start of a group, the censoring survival G(t-) of
+    the arm, the weighted risk process, score, compensators and the
+    residual of each event code. The grid is the set of groups with a
+    ``cause`` event; other groups add exactly 0. Subjects then gather
+    their residual from their group, in sample order, so each arm's sum
+    of squares is one dot product. Returns ``(statistic, variance)``.
     """
-    rows, n = e.shape
-    grid = e == EVENT_INTEREST
-    is_other = e == EVENT_COMPETING
-    censored = e == EVENT_CENSORED
-    d_pool = grid.astype(float)
+    rows, n = t.shape
+    other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
+    label = e + 3 * (np.arange(n) >= n0)  # arm * 3 + event code
+    _, counts, at_risk, key = _tie_groups(
+        np.take_along_axis(t, order, axis=1), np.take_along_axis(label, order, axis=1), 6
+    )
+    d_pool = counts[cause] + counts[3 + cause]
+    grid = d_pool > 0
     zeros = np.zeros((rows, 1))
 
     arms = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for member, n_k in ((~arm, n0), (arm, n - n0)):
-            # own-arm subjects at or after each position, and G(t-) from the
-            # own-arm censorings strictly before it
-            y_k = (n_k - (np.cumsum(member, axis=1) - member)).astype(float)
-            g_right = np.cumprod(np.where(member & censored, 1.0 - 1.0 / y_k, 1.0), axis=1)
+        for a in (0, 1):
+            cens = counts[3 * a + EVENT_CENSORED]
+            g_right = np.cumprod(np.where(cens > 0, 1.0 - cens / at_risk[a], 1.0), axis=1)
             g_left = np.concatenate((np.ones((rows, 1)), g_right[:, :-1]), axis=1)
-            inv = np.where(member & is_other & (g_left > 0), 1.0 / g_left, 0.0)
-            cum_inv = np.concatenate((zeros, np.cumsum(inv, axis=1)[:, :-1]), axis=1)
-            arms.append((member, y_k + g_left * cum_inv, g_left))
-        (_, r0, _), (_, r1, _) = arms
+            inv = np.where(g_left > 0, 1.0 / g_left, 0.0)
+            arms.append((at_risk[a] + g_left * _subject_sums(inv, counts[3 * a + other]), g_left))
+        (r0, _), (r1, _) = arms
         r_pool = r0 + r1
         pooled = r_pool > 0
-        d1 = (grid & arm).astype(float)
-        score = d1 - np.where(pooled, r1 / r_pool * d_pool, 0.0)
+        score = counts[3 + cause] - np.where(pooled, r1 / r_pool * d_pool, 0.0)
         k_w = np.where(pooled, r1 * r0 / r_pool, 0.0)
         dlam = np.where(pooled, d_pool / r_pool, 0.0)
 
-        eta = np.empty((rows, n))
-        for (member, r_k, g_left), sign in zip(arms, (-1.0, 1.0)):
+        # residual by label (arm * 3 + event code) and group
+        eta = np.empty((6, r0.size))
+        for a, ((r_k, g_left), sign) in enumerate(zip(arms, (-1.0, 1.0))):
             c = np.where(r_k > 0, k_w / r_k, 0.0)
-            c_dlam = np.where(grid, c * dlam, 0.0)
+            c_dlam = c * dlam
             comp = np.cumsum(c_dlam, axis=1)
             suffix = np.cumsum((c_dlam * g_left)[:, ::-1], axis=1)[:, ::-1]
             after = np.concatenate((suffix[:, 1:], zeros), axis=1)
             comp_other = np.where(g_left > 0, after / g_left, 0.0)
-            comp = comp + np.where(member & is_other, comp_other, 0.0)
-            ev = np.where(member & grid, c, 0.0)
-            np.copyto(eta, sign * (ev - comp), where=member)
+            eta[3 * a + EVENT_CENSORED] = (sign * (0.0 - comp)).ravel()
+            eta[3 * a + cause] = (sign * (c - comp)).ravel()
+            eta[3 * a + other] = (sign * (0.0 - (comp + comp_other))).ravel()
 
-    by_subject = np.empty_like(eta)
-    np.put_along_axis(by_subject, order, eta, axis=1)
+    np.put_along_axis(key, order, key.copy(), axis=1)  # now in sample order
+    by_subject = eta[label, key]
     z = _row_fsums(score, grid)
     var = np.array(
         [0.0 + np.dot(row[:n0], row[:n0]) + np.dot(row[n0:], row[n0:]) for row in by_subject]

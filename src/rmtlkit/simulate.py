@@ -16,11 +16,10 @@ Every replicate draws from its own counter-derived substream
 so results are identical for any worker count or execution order, and
 every reported metric carries a Monte-Carlo standard error.
 
-Replicates are computed in blocks of at most ``_BLOCK_ROWS`` rows as
-array passes over (rows x subjects), with the same arithmetic as the
-scalar estimators. A row whose pooled times contain a tie, or whose
-tests would be degenerate, is recomputed by the scalar
-``run_replicate``, so ties stay exact and errors are the scalar ones.
+Replicates are computed in blocks of at most ``_BLOCK_ROWS`` rows by
+the same row kernels that serve the one-sample estimators, so every
+row, tied or not, equals ``run_replicate`` bit for bit, and a
+degenerate row raises the error ``run_replicate`` raises.
 """
 
 from __future__ import annotations
@@ -32,10 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import select_tau
+from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups, select_tau
 from .design import DesignInput, sample_size
-from .errors import SimulationError
+from .errors import DegenerateTestError, SimulationError
 from .inference import (
+    _GRAY_ZERO_VARIANCE,
+    _RMTL_UNDEFINED,
     GrayResult,
     RmtldResult,
     _gray_rows,
@@ -182,25 +183,6 @@ def run_replicate(
     return res, gray_test(s0, s1, cause=1) if gray else None
 
 
-def _scalar_row(outcome) -> dict:
-    """One ``run_replicate`` outcome in the block path's fields."""
-    if outcome is None:
-        return {**dict.fromkeys(_FIELDS, math.nan), "unusable": True}
-    res, gray = outcome
-    return {
-        "tau": res.tau,
-        "delta": res.delta,
-        "variance": res.variance,
-        "var0": res.group0.variance,
-        "var1": res.group1.variance,
-        "ci_low": res.ci_low,
-        "ci_high": res.ci_high,
-        "p": res.p,
-        "gray_p": math.nan if gray is None else gray.p,
-        "unusable": False,
-    }
-
-
 def _replicate_block(
     spec: ScenarioSpec,
     seed: int,
@@ -215,10 +197,9 @@ def _replicate_block(
     """``run_replicate`` for every substream index in ``indices`` at once.
 
     Returns one array per name in ``_FIELDS`` plus the ``unusable`` mask,
-    a row per index, with the same values ``run_replicate`` gives. Rows
-    with tied pooled times or a non-positive RMTL or Gray variance (a
-    row without cause-1 events has both) are handed to ``run_replicate``
-    itself, so they get its exact tie handling and its errors.
+    a row per index, with the same values ``run_replicate`` gives. A
+    usable row with a non-positive RMTL or Gray variance raises the
+    ``DegenerateTestError`` that ``run_replicate`` raises for it.
     """
     n0 = spec.n0 if n0 is None else n0
     n1 = spec.n1 if n1 is None else n1
@@ -236,23 +217,33 @@ def _replicate_block(
     if fixed_tau is not None:
         unusable = tau < fixed_tau
         tau = np.full(rows, fixed_tau)
-    # rows with tied times are recomputed below, so any sort order will do
+    # tie groups make the order within a run of equal times irrelevant
     order = np.argsort(t, axis=1)
     ts = np.take_along_axis(t, order, axis=1)
     es = np.take_along_axis(e, order, axis=1)
-    arm = order >= n0
-    mu0, var0 = _rmtl_rows(ts[~arm].reshape(rows, n0), es[~arm].reshape(rows, n0), tau)
-    mu1, var1 = _rmtl_rows(ts[arm].reshape(rows, n1), es[arm].reshape(rows, n1), tau)
+    fits = []
+    for member in (order < n0, order >= n0):
+        times, counts, at_risk, _ = _tie_groups(
+            ts[member].reshape(rows, -1), es[member].reshape(rows, -1), 3
+        )
+        d1, d2 = counts[EVENT_INTEREST], counts[EVENT_COMPETING]
+        fits.append(_rmtl_rows(times, d1, d2, at_risk[0], tau))
+    (mu0, var0), (mu1, var1) = fits
     delta = mu1 - mu0
     variance = var0 + var1
     with np.errstate(divide="ignore", invalid="ignore"):
         _, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
-    scalar = np.any(np.diff(ts, axis=1) == 0.0, axis=1) | (variance <= 0.0)
+    failed = variance <= 0.0
     gray_p = np.full(rows, math.nan)
     if gray:
-        stat, gray_var = _gray_rows(es, arm, order, n0)
+        stat, gray_var = _gray_rows(t, e, order, n0, EVENT_INTEREST)
         gray_p = chdtrc(1, stat)
-        scalar |= gray_var <= 0.0
+        failed |= gray_var <= 0.0
+    failed &= ~unusable
+    if failed.any():
+        # the first such row in index order, RMTL before Gray
+        r = int(np.argmax(failed))
+        raise DegenerateTestError(_RMTL_UNDEFINED if variance[r] <= 0.0 else _GRAY_ZERO_VARIANCE)
 
     out = {
         "tau": tau, "delta": delta, "variance": variance, "var0": var0, "var1": var1,
@@ -261,10 +252,6 @@ def _replicate_block(
     for name in _FIELDS:
         out[name][unusable] = math.nan
     out["unusable"] = unusable
-    options = (phase, n0, n1, fixed_tau, alpha, gray)
-    for r in np.flatnonzero(scalar & ~unusable):
-        for name, value in _scalar_row(run_replicate(spec, seed, indices[r], *options)).items():
-            out[name][r] = value
     return out
 
 
@@ -436,6 +423,10 @@ def run_samplesize_validation(
     times) because the data-driven restriction time, and with it the
     effect and variances, shift with the sample size.
     """
+    if power_reps < 100:
+        raise ValueError("reps must be at least 100")
+    if pilot_reps < 1:
+        raise ValueError("pilot_reps must be at least 1")
     ratio = spec.n1 / spec.n0
     n0_cur, n1_cur = spec.n0, spec.n1
     design = None

@@ -1,8 +1,7 @@
-"""The block replicate path against the scalar ``run_replicate``.
+"""The block replicate path against the one-row ``run_replicate``.
 
-Without ties the block kernel adds the same terms in the same order as
-the scalar estimators, so its rows must equal the scalar results
-exactly; rows it cannot compute that way go to ``run_replicate`` itself.
+Both run the same row kernels, on a block of replicates or on one, so
+every row, tied or not, must equal the one-row results exactly.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from rmtlkit.simulate import (
     _concat,
     _replicate_block,
     _replicate_rows,
-    _scalar_row,
     run_replicate,
 )
 
@@ -31,7 +29,19 @@ MODES = {
 
 
 def scalar_rows(spec, indices, options):
-    rows = [_scalar_row(run_replicate(spec, SEED, i, **options)) for i in indices]
+    rows = []
+    for i in indices:
+        outcome = run_replicate(spec, SEED, i, **options)
+        if outcome is None:
+            rows.append({**dict.fromkeys(_FIELDS, np.nan), "unusable": True})
+            continue
+        res, gray = outcome
+        rows.append({
+            "tau": res.tau, "delta": res.delta, "variance": res.variance,
+            "var0": res.group0.variance, "var1": res.group1.variance,
+            "ci_low": res.ci_low, "ci_high": res.ci_high, "p": res.p,
+            "gray_p": np.nan if gray is None else gray.p, "unusable": False,
+        })
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
@@ -73,12 +83,13 @@ def test_block_size_invariance(monkeypatch):
             assert runs[0][name].tobytes() == other[name].tobytes(), name
 
 
-def test_tied_rows_take_the_scalar_path(monkeypatch):
+@pytest.mark.parametrize("decimals", [3, 0])
+def test_tied_rows_match_run_replicate(monkeypatch, decimals):
     draw = scenarios._draw_arm
 
     def rounded(*args):
         time, event = draw(*args)
-        return np.round(time, 3), event
+        return np.round(time, decimals), event
 
     monkeypatch.setattr(scenarios, "_draw_arm", rounded)
     monkeypatch.setattr(simulate, "_draw_arm", rounded)
@@ -90,7 +101,9 @@ def test_tied_rows_take_the_scalar_path(monkeypatch):
         pooled = np.concatenate([rounded(spec, g, 25, rng, bounds[g])[0] for g in (0, 1)])
         return np.unique(pooled).size < pooled.size
 
-    assert 0 < sum(has_tie(i) for i in range(60)) < 60
+    tied = sum(has_tie(i) for i in range(60))
+    # to 3 decimals some rows tie and some do not; to 0 decimals all do
+    assert 0 < tied < 60 if decimals == 3 else tied == 60
     got = _concat([_replicate_block(spec, SEED, range(k, k + 20)) for k in (0, 20, 40)])
     assert_rows_equal(got, scalar_rows(spec, range(60), {}))
 

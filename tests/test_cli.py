@@ -242,6 +242,12 @@ def test_simulate_estimation_45_exit_4(capsys):
                  "--censoring", "45", "--reps", "100", "--mode", "estimation"]) == 4
 
 
+def test_simulate_samplesize_few_reps_exit_2(capsys):
+    assert main(["simulate", "--mode", "samplesize", "--scenario", "C",
+                 "--n0", "50", "--n1", "50", "--reps", "0"]) == 2
+    assert "reps must be at least 100" in capsys.readouterr().err
+
+
 def test_simulate_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "Q", "--n0", "10", "--n1", "10"])

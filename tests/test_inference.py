@@ -134,26 +134,6 @@ def test_variance_bootstrap_oracle_n30():
     assert est.variance == pytest.approx(bv, rel=0.15)
 
 
-def test_variance_survival_eval_toggle():
-    s = make_sample(FIXTURE)
-    pair = cif_pair(s)
-    left = variance_rmtl(pair, 4.0, survival_eval="left")
-    right = variance_rmtl(pair, 3.5, survival_eval="right")
-    assert left >= 0 and right >= 0
-    with pytest.raises(ValueError):
-        variance_rmtl(pair, 4.0, survival_eval="middle")
-
-
-def test_variance_right_eval_singular_tail_warns():
-    # under right evaluation the survival weight vanishes at a final
-    # event time that empties the risk set; the term is skipped
-    s = make_sample(FIXTURE)
-    pair = cif_pair(s)
-    with pytest.warns(RuntimeWarning, match="variance term"):
-        var = variance_rmtl(pair, 4.0, survival_eval="right")
-    assert np.isfinite(var) and var >= 0.0
-
-
 # ---------------------------------------------------------------------------
 # rmtld_test
 

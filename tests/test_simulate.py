@@ -104,6 +104,11 @@ def test_samplesize_validation_runs():
     assert rep.n0 == rep.n1  # ratio 1 preserved
 
 
+def test_samplesize_validation_rejects_too_few_pilot_reps():
+    with pytest.raises(ValueError, match="pilot_reps must be at least 1"):
+        run_samplesize_validation(scenario("C", 50, 50, 0), pilot_reps=0)
+
+
 def test_report_json_roundtrip():
     spec = scenario("A", 80, 80, 0)
     rep = run_power_study(spec, reps=120, seed=6)
