@@ -50,7 +50,6 @@ from .simulate import (
     SimulationReport,
     run_estimation_study,
     run_power_study,
-    run_replicate,
     run_samplesize_validation,
 )
 from .stepfun import integrate_step
@@ -92,7 +91,6 @@ __all__ = [
     "calibrate_censoring",
     "true_rmtld",
     "SimulationReport",
-    "run_replicate",
     "run_estimation_study",
     "run_power_study",
     "run_samplesize_validation",

@@ -18,44 +18,30 @@ every reported metric carries a Monte-Carlo standard error.
 
 Replicates are computed in blocks of at most ``_BLOCK_ROWS`` rows by
 the same row kernels that serve the one-sample estimators, so every
-row, tied or not, equals ``run_replicate`` bit for bit, and a
-degenerate row raises the error ``run_replicate`` raises.
+row, tied or not, equals ``rmtld_test`` and ``gray_test`` on the same
+subjects bit for bit, and a degenerate row raises the error they
+raise. One study call uses at most one process pool for all of its
+replicates.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups, select_tau
+from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups
 from .design import DesignInput, sample_size
 from .errors import DegenerateTestError, SimulationError
-from .inference import (
-    _GRAY_ZERO_VARIANCE,
-    _RMTL_UNDEFINED,
-    GrayResult,
-    RmtldResult,
-    _gray_rows,
-    _normal_test,
-    _rmtl_rows,
-    gray_test,
-    rmtld_test,
-)
-from .scenarios import (
-    ScenarioSpec,
-    _draw_arm,
-    calibrate_censoring,
-    generate_group,
-    true_rmtld,
-)
+from .inference import _GRAY_ZERO_VARIANCE, _RMTL_UNDEFINED, _gray_rows, _normal_test, _rmtl_rows
+from .scenarios import ScenarioSpec, _draw_arm, calibrate_censoring, true_rmtld
 
 __all__ = [
     "SimulationReport",
-    "run_replicate",
     "run_estimation_study",
     "run_power_study",
     "run_samplesize_validation",
@@ -73,7 +59,12 @@ _PHASE_POWER = 2
 # (100-row blocks of a 300/300 cell already cost megabytes).
 _BLOCK_ROWS = 32
 
-# per-replicate outputs of the block path; NaN where not computed
+# A pool gets at least this many jobs (reps permitting), so its workers
+# finish together and hold small blocks (32-row blocks of the designed
+# D 300/300 sample-size cell raised their peak RSS by 7-10%).
+_POOL_JOBS = 8
+
+# per-replicate outputs of the block kernel; NaN where not computed
 _FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "p", "gray_p")
 
 
@@ -91,18 +82,15 @@ class SimulationReport:
     metrics: dict = field(default_factory=dict)
     unusable: int = 0
     censor_bounds: dict = field(default_factory=dict)
-    rng: str = RNG_NAME
-    tau_rule: str = "min-max"
     fixed_tau: float | None = None
     extra: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def add_metric(self, name: str, value: float, mc_se: float):
         self.metrics[name] = {"value": float(value), "mc_se": float(mc_se)}
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
             "scenario": self.scenario_id,
             "n0": self.n0,
@@ -110,8 +98,8 @@ class SimulationReport:
             "censoring_percent": self.censor_target,
             "reps": self.reps,
             "seed": self.seed,
-            "rng": self.rng,
-            "tau_rule": self.tau_rule,
+            "rng": RNG_NAME,
+            "tau_rule": "min-max" if self.fixed_tau is None else "fixed",
             "fixed_tau": self.fixed_tau,
             "unusable_replicates": self.unusable,
             "censor_bounds": {str(k): v for k, v in self.censor_bounds.items()},
@@ -140,7 +128,7 @@ class SimulationReport:
             for g, b in sorted(self.censor_bounds.items())
         )
         return [
-            f"# mode={self.mode} seed={self.seed} reps={self.reps} rng={self.rng}",
+            f"# mode={self.mode} seed={self.seed} reps={self.reps} rng={RNG_NAME}",
             f"# censor_bounds: {bounds or 'none'}",
         ]
 
@@ -149,38 +137,6 @@ def _rng_for(seed: int, phase: int, index: int):
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(phase, index))
     )
-
-
-def run_replicate(
-    spec: ScenarioSpec,
-    seed: int,
-    index: int,
-    phase: int = _PHASE_MAIN,
-    n0: int | None = None,
-    n1: int | None = None,
-    fixed_tau: float | None = None,
-    alpha: float = 0.05,
-    gray: bool = True,
-) -> tuple[RmtldResult, GrayResult | None] | None:
-    """Execute one replicate on substream ``(phase, index)`` of ``seed``.
-
-    Draws ``n0``/``n1`` subjects (default: the scenario's sizes) and
-    tests the RMTL difference at ``fixed_tau`` or, without one, at the
-    min-max restriction time. Returns ``(rmtld, gray)``, with Gray's
-    test only when ``gray`` is set, or None when the follow-up ends
-    before ``fixed_tau``. The same arguments always reproduce the same
-    outcome.
-    """
-    rng = _rng_for(seed, phase, index)
-    s0 = generate_group(spec, 0, spec.n0 if n0 is None else n0, rng)
-    s1 = generate_group(spec, 1, spec.n1 if n1 is None else n1, rng)
-    tau = select_tau(s0, s1)
-    if fixed_tau is not None:
-        if tau < fixed_tau:
-            return None
-        tau = fixed_tau
-    res = rmtld_test(s0, s1, tau, alpha=alpha)
-    return res, gray_test(s0, s1, cause=1) if gray else None
 
 
 def _replicate_block(
@@ -194,12 +150,20 @@ def _replicate_block(
     alpha: float = 0.05,
     gray: bool = True,
 ) -> dict:
-    """``run_replicate`` for every substream index in ``indices`` at once.
+    """Replicates for the substream indices in ``indices``, one row each.
 
-    Returns one array per name in ``_FIELDS`` plus the ``unusable`` mask,
-    a row per index, with the same values ``run_replicate`` gives. A
-    usable row with a non-positive RMTL or Gray variance raises the
-    ``DegenerateTestError`` that ``run_replicate`` raises for it.
+    Row ``r`` draws ``n0``/``n1`` subjects (default: the scenario's
+    sizes) from substream ``(phase, indices[r])`` of ``seed`` and tests
+    the RMTL difference at ``fixed_tau`` or, without one, at the
+    min-max restriction time, plus Gray's test when ``gray`` is set.
+    Returns one array per name in ``_FIELDS`` plus the ``unusable``
+    mask, which flags rows whose follow-up ends before ``fixed_tau``.
+    Each value equals what ``rmtld_test`` and ``gray_test`` give on the
+    same subjects, bit for bit, and a usable row with a non-positive
+    RMTL or Gray variance raises the ``DegenerateTestError`` they raise
+    for it. This is the only code that computes replicates;
+    ``_map_replicates`` feeds it blocks in this process or on the one
+    pool of the study call.
     """
     n0 = spec.n0 if n0 is None else n0
     n1 = spec.n1 if n1 is None else n1
@@ -255,36 +219,33 @@ def _replicate_block(
     return out
 
 
-def _replicate_rows(spec, seed, indices, options) -> dict:
-    """``_replicate_block`` over ``indices`` in blocks of ``_BLOCK_ROWS``."""
-    parts = [
-        _replicate_block(spec, seed, indices[k : k + _BLOCK_ROWS], **options)
-        for k in range(0, len(indices), _BLOCK_ROWS)
-    ]
-    return _concat(parts)
-
-
-def _concat(parts) -> dict:
-    """Join block results in order; no blocks give zero rows."""
-    empty = {**{name: np.empty(0) for name in _FIELDS}, "unusable": np.empty(0, dtype=bool)}
-    return {
-        name: np.concatenate([empty[name], *(part[name] for part in parts)]) for name in empty
-    }
-
-
 def _chunk_worker(args):
+    """One pool job of ``_map_replicates``; ``bench/tracing.py`` swaps
+    it by name to collect the spans of pool workers."""
     spec, seed, indices, options = args
-    return _replicate_rows(spec, seed, indices, options)
+    return _replicate_block(spec, seed, indices, **options)
 
 
-def _map_replicates(spec, seed, reps, options, workers) -> dict:
+def _map_replicates(spec, seed, reps, options, pool) -> dict:
+    """Replicates ``0 .. reps-1`` in blocks of at most ``_BLOCK_ROWS``,
+    run by ``pool`` or, when it is None, in this process; rows in index
+    order."""
+    rows = _BLOCK_ROWS if pool is None else min(_BLOCK_ROWS, -(-reps // _POOL_JOBS))
+    blocks = [range(k, min(k + rows, reps)) for k in range(0, reps, rows)]
+    if pool is None:
+        parts = [_replicate_block(spec, seed, block, **options) for block in blocks]
+    else:
+        parts = list(pool.map(_chunk_worker, [(spec, seed, block, options) for block in blocks]))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _pool(spec: ScenarioSpec, workers: int):
+    """The one process pool of a study call, or a null context when
+    ``workers <= 1``."""
     if workers <= 1:
-        return _replicate_rows(spec, seed, range(reps), options)
+        return nullcontext()
     _bounds_for(spec)  # calibrate here, so forked workers inherit the cached bounds
-    chunks = np.array_split(np.arange(reps), workers * 4)
-    jobs = [(spec, seed, chunk.tolist(), options) for chunk in chunks if chunk.size]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _concat(list(pool.map(_chunk_worker, jobs)))
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _bounds_for(spec: ScenarioSpec) -> dict:
@@ -310,13 +271,10 @@ def run_estimation_study(
     if reps < 100:
         raise ValueError("reps must be at least 100")
     truth = true_rmtld(spec, tau=fixed_tau)
-    records = _map_replicates(
-        spec,
-        seed,
-        reps,
-        {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False},
-        workers,
-    )
+    with _pool(spec, workers) as pool:
+        records = _map_replicates(
+            spec, seed, reps, {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False}, pool
+        )
     usable = ~records["unusable"]
     n_bad = reps - int(np.count_nonzero(usable))
     if n_bad > reps / 2:
@@ -353,7 +311,6 @@ def run_estimation_study(
         seed=seed,
         unusable=n_bad,
         censor_bounds=_bounds_for(spec),
-        tau_rule="fixed",
         fixed_tau=fixed_tau,
         extra={"true_delta": truth},
     )
@@ -384,7 +341,8 @@ def run_power_study(
     """Rejection rates of both tests with the min-max restriction rule."""
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    records = _map_replicates(spec, seed, reps, {"alpha": alpha}, workers)
+    with _pool(spec, workers) as pool:
+        records = _map_replicates(spec, seed, reps, {"alpha": alpha}, pool)
     p_rmtld, p_gray, taus = records["p"], records["gray_p"], records["tau"]
 
     report = SimulationReport(
@@ -431,36 +389,37 @@ def run_samplesize_validation(
     n0_cur, n1_cur = spec.n0, spec.n1
     design = None
     inputs = None
-    for _ in range(refinements + 1):
-        # the pilot tests at the default alpha: only its estimates are used
-        pilot = _map_replicates(
+    with _pool(spec, workers) as pool:
+        for _ in range(refinements + 1):
+            # the pilot tests at the default alpha: only its estimates are used
+            pilot = _map_replicates(
+                spec,
+                seed,
+                pilot_reps,
+                {"phase": _PHASE_PILOT, "n0": n0_cur, "n1": n1_cur, "gray": False},
+                pool,
+            )
+            delta_bar = float(np.mean(pilot["delta"]))
+            sig0_bar = float(np.mean(n0_cur * pilot["var0"]))
+            sig1_bar = float(np.mean(n1_cur * pilot["var1"]))
+            inputs = DesignInput(
+                delta=delta_bar,
+                sigma0_sq=sig0_bar,
+                sigma1_sq=sig1_bar,
+                ratio=ratio,
+                alpha=alpha,
+                power=target_power,
+            )
+            design = sample_size(inputs)
+            n0_cur, n1_cur = design.n0, design.n1
+
+        records = _map_replicates(
             spec,
             seed,
-            pilot_reps,
-            {"phase": _PHASE_PILOT, "n0": n0_cur, "n1": n1_cur, "gray": False},
-            workers,
+            power_reps,
+            {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha},
+            pool,
         )
-        delta_bar = float(np.mean(pilot["delta"]))
-        sig0_bar = float(np.mean(n0_cur * pilot["var0"]))
-        sig1_bar = float(np.mean(n1_cur * pilot["var1"]))
-        inputs = DesignInput(
-            delta=delta_bar,
-            sigma0_sq=sig0_bar,
-            sigma1_sq=sig1_bar,
-            ratio=ratio,
-            alpha=alpha,
-            power=target_power,
-        )
-        design = sample_size(inputs)
-        n0_cur, n1_cur = design.n0, design.n1
-
-    records = _map_replicates(
-        spec,
-        seed,
-        power_reps,
-        {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha},
-        workers,
-    )
     p_rmtld, p_gray = records["p"], records["gray_p"]
 
     report = SimulationReport(

@@ -1,21 +1,15 @@
-"""The block replicate path against the one-row ``run_replicate``.
+"""The block replicate path against the public one-sample functions.
 
 Both run the same row kernels, on a block of replicates or on one, so
-every row, tied or not, must equal the one-row results exactly.
+every row, tied or not, must equal the one-sample results exactly.
 """
 
 import numpy as np
 import pytest
 
-from rmtlkit import DegenerateTestError, scenarios, simulate
-from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
-from rmtlkit.simulate import (
-    _FIELDS,
-    _concat,
-    _replicate_block,
-    _replicate_rows,
-    run_replicate,
-)
+from rmtlkit import DegenerateTestError, gray_test, rmtld_test, scenarios, select_tau, simulate
+from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, generate_group, scenario
+from rmtlkit.simulate import _FIELDS, _map_replicates, _replicate_block
 
 REPS = 200
 SEED = 4242
@@ -28,10 +22,24 @@ MODES = {
 }
 
 
+def scalar_replicate(spec, i, phase=0, n0=None, n1=None, fixed_tau=None, alpha=0.05, gray=True):
+    """Replicate ``i`` through the public one-sample functions: None when
+    the follow-up ends before ``fixed_tau``, else ``(rmtld, gray)``."""
+    rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(phase, i)))
+    s0 = generate_group(spec, 0, spec.n0 if n0 is None else n0, rng)
+    s1 = generate_group(spec, 1, spec.n1 if n1 is None else n1, rng)
+    tau = select_tau(s0, s1)
+    if fixed_tau is not None:
+        if tau < fixed_tau:
+            return None
+        tau = fixed_tau
+    return rmtld_test(s0, s1, tau, alpha=alpha), gray_test(s0, s1, cause=1) if gray else None
+
+
 def scalar_rows(spec, indices, options):
     rows = []
     for i in indices:
-        outcome = run_replicate(spec, SEED, i, **options)
+        outcome = scalar_replicate(spec, i, **options)
         if outcome is None:
             rows.append({**dict.fromkeys(_FIELDS, np.nan), "unusable": True})
             continue
@@ -56,7 +64,7 @@ def test_block_matches_scalar(sid):
     for cr in CENSOR_TARGETS:
         spec = scenario(sid, 20, 24, cr)
         for mode, options in MODES.items():
-            got = _replicate_rows(spec, SEED, range(REPS), options)
+            got = _map_replicates(spec, SEED, REPS, options, pool=None)
             want = scalar_rows(spec, range(REPS), options)
             assert_rows_equal(got, want)
             assert np.array_equal(got["p"] < 0.05, want["p"] < 0.05)
@@ -73,7 +81,7 @@ def test_block_size_invariance(monkeypatch):
     runs = []
     for rows in (1, 7, 32, 75):
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows)
-        runs.append(_replicate_rows(spec, SEED, range(75), options))
+        runs.append(_map_replicates(spec, SEED, 75, options, pool=None))
     # another composition: scattered indices in one block
     shuffled = np.random.default_rng(0).permutation(75)
     block = _replicate_block(spec, SEED, shuffled.tolist(), **options)
@@ -104,7 +112,7 @@ def test_tied_rows_match_run_replicate(monkeypatch, decimals):
     tied = sum(has_tie(i) for i in range(60))
     # to 3 decimals some rows tie and some do not; to 0 decimals all do
     assert 0 < tied < 60 if decimals == 3 else tied == 60
-    got = _concat([_replicate_block(spec, SEED, range(k, k + 20)) for k in (0, 20, 40)])
+    got = _map_replicates(spec, SEED, 60, {}, pool=None)
     assert_rows_equal(got, scalar_rows(spec, range(60), {}))
 
 
@@ -113,7 +121,7 @@ def test_degenerate_row_raises_the_scalar_error(gray):
     # p1 -> 0: no cause-1 event in either arm, so the test is undefined
     spec = scenario("A", 6, 6, 0, p1=1e-12)
     with pytest.raises(DegenerateTestError) as scalar:
-        run_replicate(spec, SEED, 3, gray=gray)
+        scalar_replicate(spec, 3, gray=gray)
     with pytest.raises(DegenerateTestError) as block:
         _replicate_block(spec, SEED, [1, 3], gray=gray)
     assert str(block.value) == str(scalar.value)

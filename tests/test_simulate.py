@@ -1,14 +1,15 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rmtlkit import SimulationError
+from rmtlkit import SimulationError, simulate
 from rmtlkit.scenarios import scenario
 from rmtlkit.simulate import (
+    _map_replicates,
     run_estimation_study,
     run_power_study,
-    run_replicate,
     run_samplesize_validation,
 )
 
@@ -22,6 +23,7 @@ def test_estimation_report_shape():
         assert entry["mc_se"] >= 0.0
     assert rep.unusable <= 0.1 * 150
     assert "true_delta" in rep.extra
+    assert rep.to_json_dict()["tau_rule"] == "fixed"
     assert rep.metrics["rmse"]["value"] >= abs(rep.metrics["bias"]["value"])
     # scenario A reports plain bias, others add relative bias
     rep_b = run_estimation_study(scenario("B", 300, 300, 0), reps=150, seed=5)
@@ -46,6 +48,39 @@ def test_estimation_worker_count_invariance():
     spec = scenario("A", 100, 100, 0)
     serial = run_estimation_study(spec, reps=120, seed=3, workers=1)
     parallel = run_estimation_study(spec, reps=120, seed=3, workers=2)
+    assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
+        parallel.to_json_dict(), sort_keys=True
+    )
+
+
+# one small call of each study at a given worker count
+STUDIES = {
+    "estimation": lambda workers: run_estimation_study(
+        scenario("B", 60, 60, 0), reps=100, seed=3, workers=workers
+    ),
+    "power": lambda workers: run_power_study(
+        scenario("D", 60, 60, 30), reps=100, seed=3, workers=workers
+    ),
+    "samplesize": lambda workers: run_samplesize_validation(
+        scenario("E", 60, 60, 15), seed=3, pilot_reps=40, power_reps=100, workers=workers
+    ),
+}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    serial = STUDIES[study](1)
+    assert starts == []
+    parallel = STUDIES[study](2)
+    assert starts == [{"max_workers": 2}]
     assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
         parallel.to_json_dict(), sort_keys=True
     )
@@ -115,25 +150,9 @@ def test_report_json_roundtrip():
     payload = rep.to_json_dict()
     assert payload["schema_version"] == 1
     assert payload["rng"] == "numpy-PCG64/SeedSequence"
+    assert payload["tau_rule"] == "min-max" and payload["fixed_tau"] is None
     text = json.dumps(payload)
     assert json.loads(text) == payload
-
-
-def test_run_replicate_outcome():
-    spec = scenario("B", 150, 150, 0)
-    out = run_replicate(spec, seed=21, index=3)
-    assert out is not None
-    res, gray = out
-    assert gray is not None
-    assert res.tau > 0
-    assert res.group0.n == 150 and res.group1.n == 150
-    assert res.delta == res.group1.mu - res.group0.mu
-    again, _ = run_replicate(spec, seed=21, index=3)
-    assert again.delta == res.delta
-
-    # an unreachable fixed horizon flags the replicate instead of failing
-    short = run_replicate(scenario("A", 100, 100, 45), seed=21, index=0, fixed_tau=4.0)
-    assert short is None
 
 
 def test_null_calibration_with_heavy_censoring():
@@ -176,10 +195,6 @@ def test_error_shrinks_with_sample_size():
             from rmtlkit import true_rmtld
 
             truth = true_rmtld(spec)
-        errs = []
-        for r in range(150):
-            out = run_replicate(spec, seed=55, index=r, fixed_tau=4.0, gray=False)
-            if out is not None:
-                errs.append(abs(out[0].delta - truth))
-        means.append(np.mean(errs))
+        rows = _map_replicates(spec, 55, 150, {"fixed_tau": 4.0, "gray": False}, pool=None)
+        means.append(np.mean(np.abs(rows["delta"][~rows["unusable"]] - truth)))
     assert means[0] > means[1] > means[2]
