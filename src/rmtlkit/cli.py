@@ -37,6 +37,7 @@ from .estimators import _sample_curves, curve_rows
 from .inference import gray_test, rmtl, rmtld_test
 from .scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
 from .simulate import (
+    SCHEMA_VERSION,
     run_estimation_study,
     run_power_study,
     run_samplesize_validation,
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_CALIBRATION = 4
-
-SCHEMA_VERSION = 1
 
 
 def _digest(path) -> str:
@@ -200,15 +199,11 @@ def cmd_samplesize(args) -> int:
         pilot1 = ingest_single_group_csv(
             args.pilot1, time_col=args.time_col, event_col=args.event_col, group_col=None
         )
-        if not isinstance(pilot0, GroupSample) or not isinstance(pilot1, GroupSample):
-            raise InputError("each pilot CSV must hold a single group")
         sigma0_sq = estimate_sigma_sq(pilot0, args.tau)
         sigma1_sq = estimate_sigma_sq(pilot1, args.tau)
         if args.delta is not None:
             delta = args.delta
         else:
-            pilot0 = GroupSample(pilot0.time, pilot0.event, 0)
-            pilot1 = GroupSample(pilot1.time, pilot1.event, 1)
             delta = rmtld_test(pilot0, pilot1, args.tau).delta
         inputs = [args.pilot0, args.pilot1]
     else:

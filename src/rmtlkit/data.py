@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,102 +187,84 @@ def select_tau(sample0: GroupSample, sample1: GroupSample) -> float:
     return min(sample0.max_followup, sample1.max_followup)
 
 
-def _parse_csv_rows(
-    source,
-    time_col,
-    event_col,
-    group_col,
-    event_codes=None,
-    group_codes=None,
-):
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    if isinstance(source, str):
-        handle = open(source, "r", encoding="utf-8-sig", newline="")
-        close = True
-    elif hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8-sig")
-        handle = io.StringIO(raw)
-        close = False
-    else:
-        handle = io.StringIO(str(source))
-        close = False
+def _open_source(source):
+    """A text handle on a path, on bytes, or on what a file-like object reads."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "r", encoding="utf-8-sig", newline="")
+    raw = source if isinstance(source, bytes) else source.read()
+    return io.StringIO(raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw)
 
-    event_map = {str(k): v for k, v in (event_codes or {}).items()}
-    group_map = {str(k): v for k, v in (group_codes or {}).items()}
 
-    by_group = {}
-    try:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+def _code_parser(codes, what, *allowed):
+    """Parser of a stripped code cell: remapped through ``codes``, an integral
+    number in ``allowed``. Memoized by raw cell, as a column has few values."""
+    remap = {str(k): v for k, v in (codes or {}).items()}
+    outside = f"outside {{{','.join(map(str, allowed))}}}"
+    memo = {}
+
+    def parse(raw, rownum):
+        code = memo.get(raw)
+        if code is None:
+            value = remap.get(raw, raw)
+            try:
+                number = float(value)
+            except (ValueError, TypeError):
+                number = math.nan
+            if not math.isfinite(number):
+                raise RowError(rownum, f"non-numeric {what} code {value!r}")
+            code = int(number) if number.is_integer() else number
+            if code not in allowed:
+                raise RowError(rownum, f"{what} code {code} {outside}")
+            memo[raw] = code
+        return code
+
+    return parse
+
+
+def _parse_csv_rows(source, time_col, event_col, group_col, event_codes=None, group_codes=None):
+    """Validated time, event and group arrays; no ``group_col`` puts all rows in arm 0."""
+    event_code = _code_parser(event_codes, "event", EVENT_CENSORED, EVENT_INTEREST, EVENT_COMPETING)
+    group_code = _code_parser(group_codes, "group", GROUP_CONTROL, GROUP_TREATMENT)
+    times, events, groups = [], [], []
+    with _open_source(source) as handle:
+        reader = csv.reader(handle)
+        # the first line is the header even if blank, the last duplicated name wins,
+        # blank lines are skipped uncounted, and a short row's missing cells read ''
+        index = {name: i for i, name in enumerate(next(reader, []))}
         for col in (time_col, event_col, group_col):
-            if col is not None and col not in header:
+            if col is not None and col not in index:
                 raise SchemaError(col)
-        for rownum, row in enumerate(reader, start=1):
-            raw_time = (row.get(time_col) or "").strip()
+        ti, ei = index[time_col], index[event_col]
+        gi = None if group_col is None else index[group_col]
+        width = max(ti, ei, gi or 0) + 1
+        for rownum, row in enumerate(filter(None, reader), start=1):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_time = row[ti].strip()
             try:
                 t = float(raw_time)
             except ValueError:
                 raise RowError(rownum, f"non-numeric time {raw_time!r}") from None
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 raise RowError(rownum, f"non-finite time {raw_time!r}")
             if t < 0:
                 raise RowError(rownum, f"negative time {raw_time!r}")
-
-            raw_event = (row.get(event_col) or "").strip()
-            raw_event = event_map.get(raw_event, raw_event)
-            try:
-                e = int(float(raw_event))
-            except (ValueError, TypeError):
-                raise RowError(rownum, f"non-numeric event code {raw_event!r}") from None
-            if e not in (EVENT_CENSORED, EVENT_INTEREST, EVENT_COMPETING):
-                raise RowError(rownum, f"event code {e} outside {{0,1,2}}")
-
-            if group_col is None:
-                g = GROUP_CONTROL
-            else:
-                raw_group = (row.get(group_col) or "").strip()
-                raw_group = group_map.get(raw_group, raw_group)
-                try:
-                    g = int(float(raw_group))
-                except (ValueError, TypeError):
-                    raise RowError(
-                        rownum, f"non-numeric group code {raw_group!r}"
-                    ) from None
-                if g not in (GROUP_CONTROL, GROUP_TREATMENT):
-                    raise RowError(rownum, f"group code {g} outside {{0,1}}")
-            by_group.setdefault(g, []).append((t, e))
-    finally:
-        if close:
-            handle.close()
-    return by_group
+            times.append(t)
+            events.append(event_code(row[ei].strip(), rownum))
+            groups.append(GROUP_CONTROL if gi is None else group_code(row[gi].strip(), rownum))
+    return np.array(times), np.array(events, dtype=np.int64), np.array(groups, dtype=np.int64)
 
 
-def _group_from_rows(rows, group):
-    time = np.array([r[0] for r in rows], dtype=float)
-    event = np.array([r[1] for r in rows], dtype=np.int64)
-    return GroupSample(time, event, group)
-
-
-def _samples_from_groups(by_group: dict, allow_single: bool):
-    """Assemble parsed rows into samples: the one arm present when
-    ``allow_single`` permits it, otherwise both arms with at least 2
-    subjects each (an empty file has neither)."""
-    if allow_single and len(by_group) == 1:
-        ((g, rows),) = by_group.items()
-        return _group_from_rows(rows, g)
-    for g in (GROUP_CONTROL, GROUP_TREATMENT):
-        if len(by_group.get(g, [])) < 2:
-            raise SampleSizeError(
-                f"group {g} has {len(by_group.get(g, []))} subject(s); "
-                "at least 2 required in each arm"
-            )
-    return TwoGroupSample(
-        control=_group_from_rows(by_group[GROUP_CONTROL], GROUP_CONTROL),
-        treatment=_group_from_rows(by_group[GROUP_TREATMENT], GROUP_TREATMENT),
-    )
+def _samples_from_columns(time, event, group, allow_single: bool):
+    """Cut parsed columns into samples: the one arm present when
+    ``allow_single`` permits it, otherwise both arms, of 2 or more each."""
+    counts = np.bincount(group, minlength=2)
+    if allow_single and np.count_nonzero(counts) == 1:
+        return GroupSample(time, event, int(counts.argmax()))
+    for g, n in enumerate(counts):
+        if n < 2:
+            raise SampleSizeError(f"group {g} has {n} subject(s); at least 2 required in each arm")
+    return TwoGroupSample(*(GroupSample(time[group == g], event[group == g], g) for g in (0, 1)))
 
 
 def ingest_csv(
@@ -293,8 +277,9 @@ def ingest_csv(
 ) -> TwoGroupSample:
     """Read and validate a two-arm CSV into a :class:`TwoGroupSample`.
 
-    ``source`` may be a path, bytes, or a file-like object holding UTF-8
-    CSV with a header row. Row order is preserved within each group.
+    ``source`` may be a path (``str`` or ``os.PathLike``), bytes, or a
+    file-like object holding UTF-8 CSV with a header row. Row order is
+    preserved within each group.
     ``event_codes`` / ``group_codes`` optionally remap user codes onto
     the canonical 0/1/2 and 0/1.
 
@@ -302,10 +287,8 @@ def ingest_csv(
     (with a 1-based data-row number) for invalid cells, and
     :class:`SampleSizeError` when either arm has fewer than 2 subjects.
     """
-    by_group = _parse_csv_rows(
-        source, time_col, event_col, group_col, event_codes, group_codes
-    )
-    return _samples_from_groups(by_group, allow_single=False)
+    columns = _parse_csv_rows(source, time_col, event_col, group_col, event_codes, group_codes)
+    return _samples_from_columns(*columns, allow_single=False)
 
 
 def ingest_single_group_csv(
@@ -323,7 +306,5 @@ def ingest_single_group_csv(
     one-group file still gets a descriptive analysis. Raises
     :class:`SampleSizeError` for a file without data rows.
     """
-    by_group = _parse_csv_rows(
-        source, time_col, event_col, group_col, event_codes, group_codes
-    )
-    return _samples_from_groups(by_group, allow_single=True)
+    columns = _parse_csv_rows(source, time_col, event_col, group_col, event_codes, group_codes)
+    return _samples_from_columns(*columns, allow_single=True)

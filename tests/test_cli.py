@@ -145,6 +145,13 @@ def test_analyze_bad_row_exit_2(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_analyze_infinite_event_exit_2(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("time,event,group\n1,1,0\n2,inf,0\n1,1,1\n2,0,1\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "row 2: non-numeric event code 'inf'" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/file.csv"]) == 2
 

@@ -61,6 +61,33 @@ def test_ingest_bad_group_code():
         ingest_csv(io.BytesIO(bad))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,inf,0\n", "row 1: non-numeric event code 'inf'"),
+        ("1,-inf,0\n", "row 1: non-numeric event code '-inf'"),
+        ("1,1,inf\n", "row 1: non-numeric group code 'inf'"),
+        ("1,1.7,0\n", "row 1: event code 1.7 outside {0,1,2}"),
+        ("1,1,0\n2,-0.5,0\n", "row 2: event code -0.5 outside {0,1,2}"),
+        ("1,1.0,0.5\n", "row 1: group code 0.5 outside {0,1}"),
+    ],
+    ids=["inf-event", "minus-inf-event", "inf-group", "event-1.7", "event-minus-0.5", "group-0.5"],
+)
+def test_ingest_fractional_or_infinite_code(rows, message):
+    # a code is never truncated (1.7 is not 1) nor left to overflow
+    with pytest.raises(RowError) as exc:
+        ingest_csv(io.BytesIO(b"time,event,group\n" + rows.encode()))
+    assert str(exc.value) == message
+
+
+def test_ingest_pathlib_source(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(FIXTURE_CSV)
+    two = ingest_csv(path)
+    assert two.control.time.tolist() == [1.0, 2.0]
+    assert two.treatment.event.tolist() == [1, 2]
+
+
 def test_ingest_too_small_group():
     with pytest.raises(SampleSizeError):
         ingest_csv(io.BytesIO(b"time,event,group\n1,1,0\n2,0,0\n3,1,1\n"))
