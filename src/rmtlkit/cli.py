@@ -8,9 +8,10 @@ Three subcommands:
   (given directly or estimated from pilot CSVs).
 * ``simulate``    - run one simulation-study cell and write its report.
 
-Exit codes: 0 success, 2 invalid input, 3 statistical degeneracy or an
-infeasible design, 4 censoring-calibration failure. Human-readable
-output and JSON carry the same numbers; JSON keeps full precision.
+Exit codes: 0 success, 2 invalid input or an unreadable input file,
+3 statistical degeneracy or an infeasible design, 4 censoring-calibration
+failure. Human-readable output and JSON carry the same numbers; JSON
+keeps full precision.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     except (DegenerateTestError, InfeasibleDesignError, ExtrapolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, csv.Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CalibrationError, SimulationError) as exc:

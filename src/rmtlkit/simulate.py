@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups
-from .design import DesignInput, sample_size
+from .design import DesignInput, DesignResult, sample_size
 from .errors import DegenerateTestError, SimulationError
 from .inference import _GRAY_ZERO_VARIANCE, _RMTL_UNDEFINED, _gray_rows, _normal_test, _rmtl_rows
 from .scenarios import ScenarioSpec, _draw_arm, calibrate_censoring, true_rmtld
@@ -70,32 +70,45 @@ _FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "p",
 
 @dataclass
 class SimulationReport:
-    """Aggregated study output plus everything needed to reproduce it."""
+    """Aggregated study output plus everything needed to reproduce it.
+
+    ``n0``/``n1`` are the sizes the replicates were drawn at: the
+    scenario's for estimation and power, the designed ones for a
+    sample-size validation.
+    """
 
     mode: str
-    scenario_id: str
+    spec: ScenarioSpec
     n0: int
     n1: int
-    censor_target: int
     reps: int
     seed: int
     metrics: dict = field(default_factory=dict)
     unusable: int = 0
-    censor_bounds: dict = field(default_factory=dict)
     fixed_tau: float | None = None
     extra: dict = field(default_factory=dict)
 
+    @property
+    def censor_bounds(self) -> dict:
+        return _bounds_for(self.spec)
+
     def add_metric(self, name: str, value: float, mc_se: float):
         self.metrics[name] = {"value": float(value), "mc_se": float(mc_se)}
+
+    def add_rate(self, name: str, hits: np.ndarray):
+        """The share of replicates flagged in ``hits`` with its binomial
+        Monte-Carlo SE."""
+        rate = float(np.mean(hits))
+        self.add_metric(name, rate, math.sqrt(rate * (1.0 - rate) / hits.size))
 
     def to_json_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
-            "scenario": self.scenario_id,
+            "scenario": self.spec.id,
             "n0": self.n0,
             "n1": self.n1,
-            "censoring_percent": self.censor_target,
+            "censoring_percent": self.spec.censor_target,
             "reps": self.reps,
             "seed": self.seed,
             "rng": RNG_NAME,
@@ -110,16 +123,8 @@ class SimulationReport:
     def csv_rows(self) -> list[tuple]:
         """One row per metric, matching the report-table layout."""
         return [
-            (
-                self.scenario_id,
-                self.n0,
-                self.n1,
-                self.censor_target,
-                name,
-                entry["value"],
-                entry["mc_se"],
-            )
-            for name, entry in self.metrics.items()
+            (self.spec.id, self.n0, self.n1, self.spec.censor_target, name, e["value"], e["mc_se"])
+            for name, e in self.metrics.items()
         ]
 
     def csv_header_comments(self) -> list[str]:
@@ -276,57 +281,45 @@ def run_estimation_study(
             spec, seed, reps, {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False}, pool
         )
     usable = ~records["unusable"]
-    n_bad = reps - int(np.count_nonzero(usable))
-    if n_bad > reps / 2:
+    report = SimulationReport(
+        "estimation", spec, spec.n0, spec.n1, reps, seed,
+        unusable=int(np.count_nonzero(records["unusable"])),
+        fixed_tau=fixed_tau,
+        extra={"true_delta": truth},
+    )
+    if report.unusable > reps / 2:
         raise SimulationError(
-            f"{n_bad}/{reps} replicates end before tau={fixed_tau}; "
+            f"{report.unusable}/{reps} replicates end before tau={fixed_tau}; "
             "estimation at this censoring level is not identifiable",
             diagnostics={
-                "unusable": n_bad,
+                "unusable": report.unusable,
                 "reps": reps,
                 "fixed_tau": fixed_tau,
-                "censor_bounds": _bounds_for(spec),
+                "censor_bounds": report.censor_bounds,
             },
         )
     deltas = records["delta"][usable]
     ses = np.sqrt(records["variance"][usable])
-    cover = (
-        (records["ci_low"][usable] <= truth) & (truth <= records["ci_high"][usable])
-    ).astype(float)
     n_use = deltas.size
 
+    sq_err = (deltas - truth) ** 2
     sd = float(np.std(deltas, ddof=1))
     bias = float(np.mean(deltas) - truth)
-    rmse = float(np.sqrt(np.mean((deltas - truth) ** 2)))
+    rmse = float(np.sqrt(np.mean(sq_err)))
     rel_se = float(np.mean(ses) / sd)
-    coverage = float(np.mean(cover))
 
-    report = SimulationReport(
-        mode="estimation",
-        scenario_id=spec.id,
-        n0=spec.n0,
-        n1=spec.n1,
-        censor_target=spec.censor_target,
-        reps=reps,
-        seed=seed,
-        unusable=n_bad,
-        censor_bounds=_bounds_for(spec),
-        fixed_tau=fixed_tau,
-        extra={"true_delta": truth},
-    )
     se_mean = sd / math.sqrt(n_use)
     report.add_metric("bias", bias, se_mean)
     if spec.id != "A":
         report.add_metric("rel_bias", bias / truth, abs(se_mean / truth))
-    sq_err = (deltas - truth) ** 2
     rmse_se = float(np.std(sq_err, ddof=1)) / math.sqrt(n_use) / (2.0 * rmse)
     report.add_metric("rmse", rmse, rmse_se)
     rel_se_se = rel_se * math.sqrt(
         np.var(ses, ddof=1) / (n_use * np.mean(ses) ** 2) + 1.0 / (2.0 * (n_use - 1))
     )
     report.add_metric("rel_se", rel_se, rel_se_se)
-    report.add_metric(
-        "coverage", coverage, math.sqrt(coverage * (1.0 - coverage) / n_use)
+    report.add_rate(
+        "coverage", (records["ci_low"][usable] <= truth) & (truth <= records["ci_high"][usable])
     )
     return report
 
@@ -343,21 +336,10 @@ def run_power_study(
         raise ValueError("reps must be at least 100")
     with _pool(spec, workers) as pool:
         records = _map_replicates(spec, seed, reps, {"alpha": alpha}, pool)
-    p_rmtld, p_gray, taus = records["p"], records["gray_p"], records["tau"]
-
-    report = SimulationReport(
-        mode="power",
-        scenario_id=spec.id,
-        n0=spec.n0,
-        n1=spec.n1,
-        censor_target=spec.censor_target,
-        reps=reps,
-        seed=seed,
-        censor_bounds=_bounds_for(spec),
-    )
-    for name, pvals in (("rejection_rmtld", p_rmtld), ("rejection_gray", p_gray)):
-        rate = float(np.mean(pvals < alpha))
-        report.add_metric(name, rate, math.sqrt(rate * (1.0 - rate) / reps))
+    report = SimulationReport("power", spec, spec.n0, spec.n1, reps, seed)
+    report.add_rate("rejection_rmtld", records["p"] < alpha)
+    report.add_rate("rejection_gray", records["gray_p"] < alpha)
+    taus = records["tau"]
     report.add_metric("mean_tau", float(np.mean(taus)),
                       float(np.std(taus, ddof=1)) / math.sqrt(reps))
     return report
@@ -385,52 +367,27 @@ def run_samplesize_validation(
         raise ValueError("reps must be at least 100")
     if pilot_reps < 1:
         raise ValueError("pilot_reps must be at least 1")
-    ratio = spec.n1 / spec.n0
-    n0_cur, n1_cur = spec.n0, spec.n1
-    design = None
-    inputs = None
+    design = DesignResult(spec.n0, spec.n1)
     with _pool(spec, workers) as pool:
         for _ in range(refinements + 1):
             # the pilot tests at the default alpha: only its estimates are used
-            pilot = _map_replicates(
-                spec,
-                seed,
-                pilot_reps,
-                {"phase": _PHASE_PILOT, "n0": n0_cur, "n1": n1_cur, "gray": False},
-                pool,
-            )
-            delta_bar = float(np.mean(pilot["delta"]))
-            sig0_bar = float(np.mean(n0_cur * pilot["var0"]))
-            sig1_bar = float(np.mean(n1_cur * pilot["var1"]))
+            options = {"phase": _PHASE_PILOT, "n0": design.n0, "n1": design.n1, "gray": False}
+            pilot = _map_replicates(spec, seed, pilot_reps, options, pool)
             inputs = DesignInput(
-                delta=delta_bar,
-                sigma0_sq=sig0_bar,
-                sigma1_sq=sig1_bar,
-                ratio=ratio,
+                delta=float(np.mean(pilot["delta"])),
+                sigma0_sq=float(np.mean(design.n0 * pilot["var0"])),
+                sigma1_sq=float(np.mean(design.n1 * pilot["var1"])),
+                ratio=spec.n1 / spec.n0,
                 alpha=alpha,
                 power=target_power,
             )
             design = sample_size(inputs)
-            n0_cur, n1_cur = design.n0, design.n1
 
-        records = _map_replicates(
-            spec,
-            seed,
-            power_reps,
-            {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha},
-            pool,
-        )
-    p_rmtld, p_gray = records["p"], records["gray_p"]
+        options = {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha}
+        records = _map_replicates(spec, seed, power_reps, options, pool)
 
     report = SimulationReport(
-        mode="samplesize",
-        scenario_id=spec.id,
-        n0=design.n0,
-        n1=design.n1,
-        censor_target=spec.censor_target,
-        reps=power_reps,
-        seed=seed,
-        censor_bounds=_bounds_for(spec),
+        "samplesize", spec, design.n0, design.n1, power_reps, seed,
         extra={
             "pilot_reps": pilot_reps,
             "pilot_delta": inputs.delta,
@@ -440,7 +397,6 @@ def run_samplesize_validation(
         },
     )
     report.add_metric("total_n", design.total, 0.0)
-    for name, pvals in (("power_rmtld", p_rmtld), ("power_gray", p_gray)):
-        rate = float(np.mean(pvals < alpha))
-        report.add_metric(name, rate, math.sqrt(rate * (1.0 - rate) / power_reps))
+    report.add_rate("power_rmtld", records["p"] < alpha)
+    report.add_rate("power_gray", records["gray_p"] < alpha)
     return report

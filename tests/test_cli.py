@@ -65,7 +65,8 @@ def test_analyze_two_groups(fixture_csv, tmp_path, capsys):
     assert payload["manifest"]["command"] == "analyze"
     assert len(payload["manifest"]["input_digests"]) == 1
     for g in (0, 1):
-        rows = list(csv.reader(open(tmp_path / f"curves_group{g}.csv")))
+        with open(tmp_path / f"curves_group{g}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["time", "survival", "cif1", "cif2"]
         assert rows[1][0] == "0.0"
 
@@ -156,6 +157,23 @@ def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/file.csv"]) == 2
 
 
+def test_analyze_directory_exit_2(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.count("\n") == 1
+
+
+def test_analyze_oversized_field_exit_2(tmp_path, capsys):
+    # one quoted time cell longer than the csv module's field limit
+    path = tmp_path / "huge.csv"
+    path.write_text('time,event,group\n"' + "1" * 131_073 + '",1,0\n1,1,1\n')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field larger than field limit" in err
+    assert err.count("\n") == 1
+
+
 def test_analyze_header_only_exit_2(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("time,event,group\n")
@@ -167,6 +185,36 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     path = tmp_path / "cens.csv"
     path.write_text("time,event,group\n1,0,0\n2,0,0\n1,0,1\n2,0,1\n")
     assert main(["analyze", str(path)]) == 3
+
+
+# (rows as time,event,group; extra arguments; exit code; expected
+# (mu, se) per arm, None where not checked); an all-censored pair is
+# test_analyze_degenerate_exit_3
+EXTREME_INPUTS = {
+    "all-competing-arm": (
+        "1,2,0 2,2,0 3,2,0 4,2,0 1,1,1 2,0,1 3,1,1 4,2,1", [], 0, {"group0": (0.0, 0.0)},
+    ),
+    "all-zero-times-arm": ("0,1,0 0,0,0 0,2,0 0,1,0 1,1,1 2,0,1 3,1,1 4,2,1", [], 2, {}),
+    # tau = 2 carries an event and a censoring in each arm
+    "tau-at-censoring-tie": (
+        "1,1,0 1,0,0 2,0,0 2,1,0 2,1,1 2,0,1 3,1,1 4,0,1", ["--tau", "2"], 0,
+        {"group0": (0.25, None), "group1": (0.0, None)},
+    ),
+    "two-per-arm": ("1,1,0 2,0,0 1,1,1 3,2,1", [], 0, {}),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_INPUTS)
+def test_analyze_extreme_inputs(tmp_path, capsys, case):
+    rows, extra, code, arms = EXTREME_INPUTS[case]
+    path = tmp_path / "x.csv"
+    path.write_text("time,event,group\n" + rows.replace(" ", "\n") + "\n")
+    js = tmp_path / "x.json"
+    assert main(["analyze", str(path), "--json", str(js), *extra]) == code
+    for arm, (mu, se) in arms.items():
+        fit = json.loads(js.read_text())["rmtld"][arm]
+        assert fit["mu"] == mu
+        assert se is None or fit["se"] == se
 
 
 def test_samplesize_direct(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from rmtlkit import SimulationError, simulate
-from rmtlkit.scenarios import scenario
+from rmtlkit.design import DesignInput, sample_size
+from rmtlkit.scenarios import calibrate_censoring, scenario
 from rmtlkit.simulate import (
     _map_replicates,
     run_estimation_study,
@@ -106,6 +108,10 @@ def test_power_report_shape():
     assert rep.mode == "power"
     assert set(rep.metrics) == {"rejection_rmtld", "rejection_gray", "mean_tau"}
     assert 0.0 <= rep.metrics["rejection_rmtld"]["value"] <= 1.0
+    for name in ("rejection_rmtld", "rejection_gray"):
+        # a share of the 150 replicates, with its binomial MC SE
+        rate = rep.metrics[name]["value"]
+        assert rep.metrics[name]["mc_se"] == math.sqrt(rate * (1.0 - rate) / 150)
     rows = rep.csv_rows()
     assert rows[0][0] == "A"
     assert any(r[4] == "rejection_gray" for r in rows)
@@ -119,12 +125,48 @@ def test_power_determinism():
 
 
 def test_power_censor_bounds_echoed():
-    spec = scenario("A", 80, 80, 30)
-    rep = run_power_study(spec, reps=120, seed=4)
-    assert rep.censor_bounds[0] is not None
-    # same arm distribution, so the two calibrated bounds agree up to
-    # the Monte-Carlo noise of the calibration draws
-    assert rep.censor_bounds[0] == pytest.approx(rep.censor_bounds[1], rel=0.05)
+    # every study echoes its spec and the spec's calibrated bounds in the
+    # JSON and the CSV comment line; a sample-size report records the
+    # designed sizes, the others the spec's
+    studies = {
+        "estimation": (
+            scenario("B", 80, 80, 30),
+            lambda spec: run_estimation_study(spec, reps=100, fixed_tau=1.0, seed=4),
+        ),
+        "power": (scenario("A", 80, 80, 30), lambda spec: run_power_study(spec, reps=120, seed=4)),
+        "samplesize": (
+            scenario("E", 60, 60, 15),
+            lambda spec: run_samplesize_validation(spec, seed=3, pilot_reps=40, power_reps=100),
+        ),
+    }
+    for study, (spec, run) in studies.items():
+        rep = run(spec)
+        bounds = [calibrate_censoring(spec, spec.censor_target, g) for g in (0, 1)]
+        assert None not in bounds
+        payload = json.loads(json.dumps(rep.to_json_dict()))
+        assert payload["scenario"] == spec.id
+        assert payload["censoring_percent"] == spec.censor_target
+        assert payload["censor_bounds"] == {"0": bounds[0], "1": bounds[1]}
+        assert rep.csv_header_comments()[1] == (
+            f"# censor_bounds: group0={bounds[0]}, group1={bounds[1]}"
+        )
+        sizes = (payload["n0"], payload["n1"])
+        assert rep.csv_rows()[0][:4] == (spec.id, *sizes, spec.censor_target)
+        if study == "samplesize":
+            designed = sample_size(DesignInput(
+                delta=rep.extra["pilot_delta"],
+                sigma0_sq=rep.extra["pilot_sigma0_sq"],
+                sigma1_sq=rep.extra["pilot_sigma1_sq"],
+                power=rep.extra["target_power"],
+            ))
+            assert sizes == (designed.n0, designed.n1) != (spec.n0, spec.n1)
+            assert payload["metrics"]["total_n"]["value"] == designed.total
+        else:
+            assert sizes == (spec.n0, spec.n1)
+        if study == "power":
+            # same arm distribution, so the two calibrated bounds agree up
+            # to the Monte-Carlo noise of the calibration draws
+            assert bounds[0] == pytest.approx(bounds[1], rel=0.05)
 
 
 def test_samplesize_validation_runs():
