@@ -40,7 +40,6 @@ from .inference import (
 )
 from .scenarios import (
     ScenarioSpec,
-    WeibullPiece,
     calibrate_censoring,
     generate_group,
     scenario,
@@ -85,7 +84,6 @@ __all__ = [
     "estimate_sigma_sq",
     "power_at",
     "ScenarioSpec",
-    "WeibullPiece",
     "scenario",
     "generate_group",
     "calibrate_censoring",

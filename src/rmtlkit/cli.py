@@ -8,10 +8,11 @@ Three subcommands:
   (given directly or estimated from pilot CSVs).
 * ``simulate``    - run one simulation-study cell and write its report.
 
-Exit codes: 0 success, 2 invalid input or an unreadable input file,
-3 statistical degeneracy or an infeasible design, 4 censoring-calibration
-failure. Human-readable output and JSON carry the same numbers; JSON
-keeps full precision.
+Exit codes: 0 success, 1 an internal error (with its traceback),
+2 invalid input or an unreadable input file, 3 statistical degeneracy
+or an infeasible design (a simulated design above the arm-size cap
+included), 4 censoring-calibration failure. Human-readable output and
+JSON carry the same numbers; JSON keeps full precision.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     CalibrationError,
     DegenerateTestError,
     ExtrapolationError,
-    InfeasibleDesignError,
     InputError,
     SimulationError,
 )
@@ -246,6 +246,8 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     spec = scenario(args.scenario, args.n0, args.n1, args.censoring)
     if args.mode == "estimation":
         report = run_estimation_study(
@@ -343,10 +345,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateTestError, InfeasibleDesignError, ExtrapolationError) as exc:
+    except (DegenerateTestError, ExtrapolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputError, FileNotFoundError, IsADirectoryError, csv.Error, ValueError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CalibrationError, SimulationError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RowError, SampleSizeError, SchemaError
+from .errors import InputError, RowError, SampleSizeError, SchemaError
 
 EVENT_CENSORED = 0
 EVENT_INTEREST = 1
@@ -61,7 +61,7 @@ class GroupSample:
                 f"group {self.group} has {time.size} subject(s); at least 2 required"
             )
         if time.max() <= 0.0:
-            raise ValueError("maximum follow-up must be strictly positive")
+            raise InputError("maximum follow-up must be strictly positive")
         if self.group not in (GROUP_CONTROL, GROUP_TREATMENT):
             raise ValueError("group must be 0 or 1")
         time.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.special import ndtr, ndtri
 
 from .data import GroupSample
-from .errors import DegeneratePilotError, InfeasibleDesignError
+from .errors import DegeneratePilotError, InfeasibleDesignError, InputError
 from .inference import rmtl
 
 __all__ = [
@@ -37,16 +37,18 @@ class DesignInput:
     power: float = 0.8
 
     def __post_init__(self):
+        if math.isnan(self.delta):
+            raise InputError("delta must be a number")
         if self.delta == 0:
             raise InfeasibleDesignError("delta must be nonzero")
-        if self.sigma0_sq <= 0 or self.sigma1_sq <= 0:
-            raise ValueError("variances must be positive")
-        if self.ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not 0 < self.sigma0_sq < math.inf or not 0 < self.sigma1_sq < math.inf:
+            raise InputError("variances must be positive and finite")
+        if not 0 < self.ratio < math.inf:
+            raise InputError("ratio must be positive and finite")
         if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise InputError("alpha must lie in (0, 1)")
         if not 0 < self.power < 1:
-            raise ValueError("power must lie in (0, 1)")
+            raise InputError("power must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .data import (
     _tie_groups,
     select_tau,
 )
-from .errors import DegenerateTestError, ExtrapolationError
+from .errors import DegenerateTestError, ExtrapolationError, InputError
 from .estimators import CifPair, _incidence, _sample_curves
 
 __all__ = [
@@ -124,7 +124,7 @@ def variance_rmtl(pair: CifPair, tau: float) -> float:
     has failed.
     """
     if not tau > 0:
-        raise ValueError(f"tau must be positive (got {tau})")
+        raise InputError(f"tau must be positive (got {tau})")
     return _table_rmtl(pair.table, tau)[1]
 
 
@@ -181,7 +181,7 @@ def rmtl(sample: GroupSample, tau: float) -> RmtlEstimate:
     follow-up (the curve is never extrapolated).
     """
     if not tau > 0:
-        raise ValueError(f"tau must be positive (got {tau})")
+        raise InputError(f"tau must be positive (got {tau})")
     if tau > sample.max_followup:
         raise ExtrapolationError(
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
@@ -204,7 +204,7 @@ def rmtld_test(
     excludes zero. ``tau`` defaults to the min-max follow-up rule.
     """
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1) (got {alpha})")
+        raise InputError(f"alpha must lie in (0, 1) (got {alpha})")
     tau_max = select_tau(sample0, sample1)
     if tau is None:
         tau = tau_max

@@ -18,6 +18,10 @@ from exact inverse-CDF sampling. Piecewise Weibulls are spliced on the
 hazard scale, so cumulative incidence stays continuous across
 breakpoints while the hazard may jump. Censoring is uniform on
 (0, bound) with the bound calibrated to a target censoring rate.
+
+The populations are fixed: only arm sizes, censoring target and ``p1``
+vary; the B/C effects (``THETA_B``, ``THETA_C``) and the D-F hazard
+pieces (``_PIECES``) are looked up by scenario id.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroupSample
-from .errors import CalibrationError
+from .errors import CalibrationError, InputError
 
 __all__ = [
-    "WeibullPiece",
     "ScenarioSpec",
     "scenario",
     "generate_group",
@@ -48,9 +51,12 @@ CENSOR_TARGETS = (0, 15, 30, 45)
 # effect sizes (see tests/test_scenarios.py, which re-derives them).
 THETA_B = -0.3127843631814181
 THETA_C = -0.4146532377304649
+_THETA = {"B": THETA_B, "C": THETA_C}
 
 _CAL_SEED = 202608  # internal draw for censoring-bound calibration
 _TRUTH_SEED = 776001  # internal draw for true-effect evaluation
+_CAL_DRAWS = 200_000  # latent failure times per arm for calibration
+_TRUTH_DRAWS = 500_000  # uncensored subjects per arm for the true effect
 
 
 @dataclass(frozen=True)
@@ -61,51 +67,30 @@ class WeibullPiece:
     scale: float
     upper: float = math.inf
 
-    def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
-        if self.upper <= 0:
-            raise ValueError("piece upper bound must be positive")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Parameters of one simulation cell."""
+    """One simulation cell: a built-in population and its arm sizes."""
 
     id: str
     n0: int
     n1: int
     censor_target: int = 0
     p1: float = 0.7
-    theta: float | None = None
-    pieces0: tuple[WeibullPiece, ...] | None = None
-    pieces1: tuple[WeibullPiece, ...] | None = None
 
     def __post_init__(self):
         if self.id not in SCENARIO_IDS:
-            raise ValueError(f"scenario id must be one of {SCENARIO_IDS}")
+            raise InputError(f"scenario id must be one of {SCENARIO_IDS}")
         if not 0 < self.p1 <= 1:
-            raise ValueError("p1 must lie in (0, 1]")
+            raise InputError("p1 must lie in (0, 1]")
         if self.censor_target not in CENSOR_TARGETS:
-            raise ValueError(f"censor_target must be one of {CENSOR_TARGETS}")
+            raise InputError(f"censor_target must be one of {CENSOR_TARGETS}")
         if self.n0 < 2 or self.n1 < 2:
-            raise ValueError("group sizes must be at least 2")
-        if self.id in ("B", "C") and self.theta is None:
-            raise ValueError("scenarios B and C need theta")
-        if self.id in ("D", "E", "F") and (self.pieces0 is None or self.pieces1 is None):
-            raise ValueError("scenarios D, E and F need per-group Weibull pieces")
-        for pieces in (self.pieces0, self.pieces1):
-            if pieces is not None:
-                uppers = [p.upper for p in pieces]
-                if uppers != sorted(uppers) or uppers[-1] != math.inf:
-                    raise ValueError("pieces must partition (0, inf)")
-
-    def generator_key(self) -> tuple:
-        """Hashable key identifying the population (sizes and censoring
-        excluded), used for truth and calibration caches."""
-        return (self.id, self.p1, self.theta, self.pieces0, self.pieces1)
+            raise InputError("group sizes must be at least 2")
 
 
+# per scenario id, the (control, treatment) hazard pieces; each arm's
+# pieces partition (0, inf)
 _PIECES = {
     "D": (
         (WeibullPiece(1, 2, 2.0), WeibullPiece(2, 2)),
@@ -122,29 +107,9 @@ _PIECES = {
 }
 
 
-def scenario(
-    id: str,
-    n0: int,
-    n1: int,
-    censor_target: int = 0,
-    p1: float = 0.7,
-    theta: float | None = None,
-) -> ScenarioSpec:
+def scenario(id: str, n0: int, n1: int, censor_target: int = 0, p1: float = 0.7) -> ScenarioSpec:
     """Preset factory for the built-in scenarios A-F."""
-    id = id.upper()
-    if id in ("B", "C") and theta is None:
-        theta = THETA_B if id == "B" else THETA_C
-    pieces0, pieces1 = _PIECES.get(id, (None, None))
-    return ScenarioSpec(
-        id=id,
-        n0=n0,
-        n1=n1,
-        censor_target=censor_target,
-        p1=p1,
-        theta=theta,
-        pieces0=pieces0,
-        pieces1=pieces1,
-    )
+    return ScenarioSpec(id=id.upper(), n0=n0, n1=n1, censor_target=censor_target, p1=p1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +194,9 @@ def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
 def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
     """Latent event types and failure times for one arm, uncensored."""
     p1 = spec.p1
-    treated_sdh = spec.id in ("B", "C") and group == 1
+    treated_sdh = spec.id in _THETA and group == 1
     if treated_sdh:
-        rate = math.exp(spec.theta)
+        rate = math.exp(_THETA[spec.id])
         p_cause1 = 1.0 - (1.0 - p1) ** rate
     else:
         p_cause1 = p1
@@ -252,8 +217,7 @@ def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
         # cause 2: exponential with rate exp(theta)
         times[~is1] = -np.log1p(-u[~is1]) / rate
     else:
-        pieces = spec.pieces0 if group == 0 else spec.pieces1
-        times[:] = _cum_hazard_inverse(pieces, -np.log1p(-u))
+        times[:] = _cum_hazard_inverse(_PIECES[spec.id][group], -np.log1p(-u))
     return cause, times
 
 
@@ -285,25 +249,20 @@ _censor_cache: dict = {}
 _truth_cache: dict = {}
 
 
-def calibrate_censoring(
-    spec: ScenarioSpec,
-    target: int,
-    group: int,
-    n_draw: int = 200_000,
-) -> float | None:
+def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | None:
     """Uniform censoring bound giving the target censoring percentage.
 
-    Draws ``n_draw`` latent failure times once, then solves
+    Draws ``_CAL_DRAWS`` latent failure times once, then solves
     mean(min(T, b) / b) = target/100 for b; under C ~ U(0, b) that mean
     is exactly the censoring probability, so a fresh draw lands within
     Monte-Carlo noise (well inside one percentage point) of the target.
     Target 0 means no censoring at all and returns None.
     """
     if target not in CENSOR_TARGETS:
-        raise ValueError(f"target must be one of {CENSOR_TARGETS}")
+        raise InputError(f"target must be one of {CENSOR_TARGETS}")
     if target == 0:
         return None
-    key = (spec.generator_key(), group, target, n_draw)
+    key = (spec.id, spec.p1, group, target)
     if key in _censor_cache:
         return _censor_cache[key]
     from scipy.optimize import brentq
@@ -311,7 +270,7 @@ def calibrate_censoring(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=_CAL_SEED, spawn_key=(group,))
     )
-    _, times = _draw_failures(spec, group, n_draw, rng)
+    _, times = _draw_failures(spec, group, _CAL_DRAWS, rng)
     frac = target / 100.0
 
     def censor_rate(b):
@@ -330,18 +289,14 @@ def calibrate_censoring(
     return bound
 
 
-def true_rmtld(
-    spec: ScenarioSpec,
-    tau: float = 4.0,
-    n_per_group: int = 500_000,
-) -> float:
+def true_rmtld(spec: ScenarioSpec, tau: float = 4.0) -> float:
     """True RMTL difference at ``tau`` from a large uncensored draw.
 
     Uses the exact identity mu = E[(tau - T)+ for cause-1 failures], so
     a single 10^6-subject evaluation (half per arm) pins the truth to a
     few thousandths. Cached per generating population.
     """
-    key = (spec.generator_key(), tau, n_per_group)
+    key = (spec.id, spec.p1, tau)
     if key in _truth_cache:
         return _truth_cache[key]
     mus = []
@@ -349,7 +304,7 @@ def true_rmtld(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=_TRUTH_SEED, spawn_key=(group,))
         )
-        cause, times = _draw_failures(spec, group, n_per_group, rng)
+        cause, times = _draw_failures(spec, group, _TRUTH_DRAWS, rng)
         lost = np.where((cause == 1) & (times <= tau), tau - times, 0.0)
         mus.append(float(lost.mean()))
     delta = mus[1] - mus[0]

@@ -6,10 +6,15 @@ Three study modes over the built-in scenarios:
   relative SE (mean model SE / empirical SD) and CI coverage against a
   cached large-sample truth.
 * power       - data-driven restriction time (min-max rule): rejection
-  rates of the RMTL-difference test and Gray's test at alpha.
+  rates of the RMTL-difference test and Gray's test.
 * samplesize  - pilot-averaged effect and variances feed the design
   formula; the resulting total sample size is then validated by a
   fresh power run.
+
+The design is fixed: tests run at level ``ALPHA``; a sample-size
+validation targets ``TARGET_POWER`` from ``PILOT_REPS`` pilot replicates
+per round, re-runs the pilot ``REFINEMENTS`` times, and stops with
+``InfeasibleDesignError`` at a design above ``MAX_ARM`` per arm.
 
 Every replicate draws from its own counter-derived substream
 (numpy PCG64 seeded by SeedSequence(seed, spawn_key=(phase, index))),
@@ -36,7 +41,7 @@ from scipy.special import chdtrc
 
 from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups
 from .design import DesignInput, DesignResult, sample_size
-from .errors import DegenerateTestError, SimulationError
+from .errors import DegenerateTestError, InfeasibleDesignError, InputError, SimulationError
 from .inference import _GRAY_ZERO_VARIANCE, _RMTL_UNDEFINED, _gray_rows, _normal_test, _rmtl_rows
 from .scenarios import ScenarioSpec, _draw_arm, calibrate_censoring, true_rmtld
 
@@ -49,6 +54,15 @@ __all__ = [
 
 RNG_NAME = "numpy-PCG64/SeedSequence"
 SCHEMA_VERSION = 1
+
+ALPHA = 0.05
+PILOT_REPS = 200
+TARGET_POWER = 0.8
+REFINEMENTS = 2
+# Largest designed arm a validation simulates: B-F designs reach 1,576 per
+# arm (F, 45% censoring, 60/60 pilot, seed 5); the null scenario A asks for
+# 883,121 or more, and a 32-row block of that size needs gigabytes.
+MAX_ARM = 100_000
 
 _PHASE_MAIN = 0
 _PHASE_PILOT = 1
@@ -152,7 +166,6 @@ def _replicate_block(
     n0: int | None = None,
     n1: int | None = None,
     fixed_tau: float | None = None,
-    alpha: float = 0.05,
     gray: bool = True,
 ) -> dict:
     """Replicates for the substream indices in ``indices``, one row each.
@@ -201,7 +214,7 @@ def _replicate_block(
     delta = mu1 - mu0
     variance = var0 + var1
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
+        _, p, ci_low, ci_high = _normal_test(delta, variance, ALPHA)
     failed = variance <= 0.0
     gray_p = np.full(rows, math.nan)
     if gray:
@@ -262,7 +275,6 @@ def run_estimation_study(
     reps: int,
     fixed_tau: float = 4.0,
     seed: int = 0,
-    alpha: float = 0.05,
     workers: int = 1,
 ) -> SimulationReport:
     """Estimation performance at a fixed restriction time.
@@ -274,12 +286,12 @@ def run_estimation_study(
     scenario A plain bias is reported instead of relative bias.
     """
     if reps < 100:
-        raise ValueError("reps must be at least 100")
+        raise InputError("reps must be at least 100")
+    if not 0 < fixed_tau < math.inf:
+        raise InputError(f"fixed_tau must be positive and finite (got {fixed_tau})")
     truth = true_rmtld(spec, tau=fixed_tau)
     with _pool(spec, workers) as pool:
-        records = _map_replicates(
-            spec, seed, reps, {"fixed_tau": fixed_tau, "alpha": alpha, "gray": False}, pool
-        )
+        records = _map_replicates(spec, seed, reps, {"fixed_tau": fixed_tau, "gray": False}, pool)
     usable = ~records["unusable"]
     report = SimulationReport(
         "estimation", spec, spec.n0, spec.n1, reps, seed,
@@ -328,17 +340,16 @@ def run_power_study(
     spec: ScenarioSpec,
     reps: int,
     seed: int = 0,
-    alpha: float = 0.05,
     workers: int = 1,
 ) -> SimulationReport:
     """Rejection rates of both tests with the min-max restriction rule."""
     if reps < 100:
-        raise ValueError("reps must be at least 100")
+        raise InputError("reps must be at least 100")
     with _pool(spec, workers) as pool:
-        records = _map_replicates(spec, seed, reps, {"alpha": alpha}, pool)
+        records = _map_replicates(spec, seed, reps, {}, pool)
     report = SimulationReport("power", spec, spec.n0, spec.n1, reps, seed)
-    report.add_rate("rejection_rmtld", records["p"] < alpha)
-    report.add_rate("rejection_gray", records["gray_p"] < alpha)
+    report.add_rate("rejection_rmtld", records["p"] < ALPHA)
+    report.add_rate("rejection_gray", records["gray_p"] < ALPHA)
     taus = records["tau"]
     report.add_metric("mean_tau", float(np.mean(taus)),
                       float(np.std(taus, ddof=1)) / math.sqrt(reps))
@@ -348,55 +359,56 @@ def run_power_study(
 def run_samplesize_validation(
     spec: ScenarioSpec,
     seed: int = 0,
-    pilot_reps: int = 200,
     power_reps: int = 2000,
-    alpha: float = 0.05,
-    target_power: float = 0.8,
-    refinements: int = 2,
     workers: int = 1,
 ) -> SimulationReport:
     """Close the design loop: estimate the effect and variances by
     simulation averaging, size the trial, then measure the power
     actually achieved at that size.
 
-    The pilot is re-run at each newly computed size (``refinements``
+    The pilot is re-run at each newly computed size (``REFINEMENTS``
     times) because the data-driven restriction time, and with it the
-    effect and variances, shift with the sample size.
+    effect and variances, shift with the sample size. A design above
+    ``MAX_ARM`` subjects in an arm raises ``InfeasibleDesignError``
+    before any replicate is drawn at that size.
     """
     if power_reps < 100:
-        raise ValueError("reps must be at least 100")
-    if pilot_reps < 1:
-        raise ValueError("pilot_reps must be at least 1")
+        raise InputError("reps must be at least 100")
     design = DesignResult(spec.n0, spec.n1)
     with _pool(spec, workers) as pool:
-        for _ in range(refinements + 1):
-            # the pilot tests at the default alpha: only its estimates are used
+        for _ in range(REFINEMENTS + 1):
             options = {"phase": _PHASE_PILOT, "n0": design.n0, "n1": design.n1, "gray": False}
-            pilot = _map_replicates(spec, seed, pilot_reps, options, pool)
+            pilot = _map_replicates(spec, seed, PILOT_REPS, options, pool)
             inputs = DesignInput(
                 delta=float(np.mean(pilot["delta"])),
                 sigma0_sq=float(np.mean(design.n0 * pilot["var0"])),
                 sigma1_sq=float(np.mean(design.n1 * pilot["var1"])),
                 ratio=spec.n1 / spec.n0,
-                alpha=alpha,
-                power=target_power,
+                alpha=ALPHA,
+                power=TARGET_POWER,
             )
             design = sample_size(inputs)
+            if max(design.n0, design.n1) > MAX_ARM:
+                se = float(np.std(pilot["delta"], ddof=1)) / math.sqrt(PILOT_REPS)
+                raise InfeasibleDesignError(
+                    f"designed n0={design.n0}, n1={design.n1} exceed the cap of {MAX_ARM} "
+                    f"subjects per arm (pilot delta {inputs.delta:.4g}, MC SE {se:.2g})"
+                )
 
-        options = {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1, "alpha": alpha}
+        options = {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1}
         records = _map_replicates(spec, seed, power_reps, options, pool)
 
     report = SimulationReport(
         "samplesize", spec, design.n0, design.n1, power_reps, seed,
         extra={
-            "pilot_reps": pilot_reps,
+            "pilot_reps": PILOT_REPS,
             "pilot_delta": inputs.delta,
             "pilot_sigma0_sq": inputs.sigma0_sq,
             "pilot_sigma1_sq": inputs.sigma1_sq,
-            "target_power": target_power,
+            "target_power": TARGET_POWER,
         },
     )
     report.add_metric("total_n", design.total, 0.0)
-    report.add_rate("power_rmtld", records["p"] < alpha)
-    report.add_rate("power_gray", records["gray_p"] < alpha)
+    report.add_rate("power_rmtld", records["p"] < ALPHA)
+    report.add_rate("power_gray", records["gray_p"] < ALPHA)
     return report

@@ -151,7 +151,7 @@ def test_criterion_07_true_value_regeneration():
 
 def test_criterion_08_sample_size_inversion():
     rep = run_samplesize_validation(
-        scenario("C", 300, 300, 0), seed=SEED, pilot_reps=200, power_reps=2000
+        scenario("C", 300, 300, 0), seed=SEED, power_reps=2000
     )
     total = rep.metrics["total_n"]["value"]
     power = rep.metrics["power_rmtld"]["value"]

@@ -16,13 +16,13 @@ SEED = 4242
 
 # one options dict per study mode, as the study functions pass them
 MODES = {
-    "power": {"alpha": 0.05},
-    "estimation": {"fixed_tau": 4.0, "alpha": 0.05, "gray": False},
+    "power": {},
+    "estimation": {"fixed_tau": 4.0, "gray": False},
     "pilot": {"phase": 1, "n0": 17, "n1": 29, "gray": False},
 }
 
 
-def scalar_replicate(spec, i, phase=0, n0=None, n1=None, fixed_tau=None, alpha=0.05, gray=True):
+def scalar_replicate(spec, i, phase=0, n0=None, n1=None, fixed_tau=None, gray=True):
     """Replicate ``i`` through the public one-sample functions: None when
     the follow-up ends before ``fixed_tau``, else ``(rmtld, gray)``."""
     rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(phase, i)))
@@ -33,7 +33,8 @@ def scalar_replicate(spec, i, phase=0, n0=None, n1=None, fixed_tau=None, alpha=0
         if tau < fixed_tau:
             return None
         tau = fixed_tau
-    return rmtld_test(s0, s1, tau, alpha=alpha), gray_test(s0, s1, cause=1) if gray else None
+    res = rmtld_test(s0, s1, tau, alpha=simulate.ALPHA)
+    return res, gray_test(s0, s1, cause=1) if gray else None
 
 
 def scalar_rows(spec, indices, options):
@@ -77,7 +78,7 @@ def test_block_matches_scalar(sid):
 
 def test_block_size_invariance(monkeypatch):
     spec = scenario("E", 40, 30, 15)
-    options = {"alpha": 0.05}
+    options = {}
     runs = []
     for rows in (1, 7, 32, 75):
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows)

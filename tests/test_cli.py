@@ -303,6 +303,80 @@ def test_simulate_samplesize_few_reps_exit_2(capsys):
     assert "reps must be at least 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "estimation", "--scenario", "B", "--n0", "50", "--n1", "50",
+     "--reps", "100", "--fixed-tau", "0"],
+    ["simulate", "--mode", "estimation", "--scenario", "B", "--n0", "50", "--n1", "50",
+     "--reps", "100", "--fixed-tau", "inf"],
+    ["simulate", "--scenario", "C", "--n0", "1", "--n1", "50", "--reps", "100"],
+    ["simulate", "--scenario", "C", "--n0", "50", "--n1", "50", "--reps", "100", "--seed", "-1"],
+    ["samplesize", "--delta", "0.5", "--sigma0-sq", "1", "--sigma1-sq", "1", "--ratio", "0"],
+    ["samplesize", "--delta", "nan", "--sigma0-sq", "1", "--sigma1-sq", "1"],
+    ["samplesize", "--delta", "0.5", "--sigma0-sq", "inf", "--sigma1-sq", "1"],
+])
+def test_bad_argument_values_exit_2(monkeypatch, capsys, argv):
+    # rejected up front: the estimation study never draws its truth
+    def no_truth(*args, **kwargs):
+        raise AssertionError("true_rmtld called")
+
+    monkeypatch.setattr(rmtlkit.simulate, "true_rmtld", no_truth)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_non_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("time,event,group\n1,1,0\n2,0,0\n1,1,1\n2,0,1\n# caf\xe9\n".encode("latin-1"))
+    assert main(["analyze", str(path)]) == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
+def _run_cli(code, *args, **kwargs):
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def test_internal_error_exits_1_with_traceback(fixture_csv):
+    # an error that is not about the input is not reported as one
+    code = (
+        "import sys\n"
+        "from rmtlkit import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('injected fault')\n"
+        "cli.gray_test = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    out = _run_cli(code, "analyze", str(fixture_csv))
+    assert out.returncode == 1
+    assert "Traceback" in out.stderr and "ValueError: injected fault" in out.stderr
+
+
+def _limit_address_space():
+    import resource
+
+    cap = 2 * 1024**3  # bytes; the designed scenario-A power run would need far more
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("censoring", ["0", "15", "30", "45"])
+def test_simulate_samplesize_above_cap_exit_3(censoring):
+    # the null scenario's pilot effect is near 0, so its design is huge;
+    # the run must stop at the cap, not exhaust memory
+    code = "import sys\nfrom rmtlkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    out = _run_cli(
+        code, "simulate", "--mode", "samplesize", "--scenario", "A", "--n0", "60", "--n1", "60",
+        "--censoring", censoring, "--reps", "120", "--seed", "5",
+        preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: designed n0=")
+    assert "cap of 100000 subjects per arm (pilot delta" in out.stderr and "MC SE" in out.stderr
+
+
 def test_simulate_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "Q", "--n0", "10", "--n1", "10"])

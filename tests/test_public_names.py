@@ -1,10 +1,12 @@
 """The traced benchmark patches rmtlkit functions by module and name,
 and the package exports a fixed public list: both must keep resolving,
 and a traced study must still count its pool and collect the spans of
-its pool workers."""
+its pool workers. The simulation engine's signatures are pinned too."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -31,6 +33,29 @@ def test_bench_trace_target_resolves(module, attr, span):
 
 def test_public_names_resolve():
     assert [name for name in rmtlkit.__all__ if not hasattr(rmtlkit, name)] == []
+
+
+# The simulation design is fixed, so these take no study constants
+# (alpha, pilot scheme, scenario parameters, draw counts), and
+# bench/child.py and bench/workloads.py call some of them positionally.
+SIMULATION_API = {
+    "scenario": ["id", "n0", "n1", "censor_target", "p1"],
+    "calibrate_censoring": ["spec", "target", "group"],
+    "true_rmtld": ["spec", "tau"],
+    "run_estimation_study": ["spec", "reps", "fixed_tau", "seed", "workers"],
+    "run_power_study": ["spec", "reps", "seed", "workers"],
+    "run_samplesize_validation": ["spec", "seed", "power_reps", "workers"],
+}
+
+
+@pytest.mark.parametrize("name", SIMULATION_API)
+def test_simulation_signature_is_pinned(name):
+    assert list(inspect.signature(getattr(rmtlkit, name)).parameters) == SIMULATION_API[name]
+
+
+def test_scenario_spec_fields_are_pinned():
+    fields = [f.name for f in dataclasses.fields(rmtlkit.ScenarioSpec)]
+    assert fields == ["id", "n0", "n1", "censor_target", "p1"]
 
 
 def _traced_power_study(monkeypatch, tmp_path, workers):

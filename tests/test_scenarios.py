@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rmtlkit import CalibrationError
+from rmtlkit import CalibrationError, InputError
 from rmtlkit.scenarios import (
     THETA_B,
     THETA_C,
     ScenarioSpec,
-    WeibullPiece,
+    _PIECES,
     calibrate_censoring,
     generate_group,
     piecewise_cdf,
@@ -42,26 +42,19 @@ def test_theta_constants_rederive():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        scenario("Z", 100, 100)
-    with pytest.raises(ValueError):
-        ScenarioSpec(id="B", n0=100, n1=100)  # theta missing
-    with pytest.raises(ValueError):
-        ScenarioSpec(id="D", n0=100, n1=100)  # pieces missing
-    with pytest.raises(ValueError):
-        scenario("A", 100, 100, censor_target=20)
-    with pytest.raises(ValueError):
-        WeibullPiece(shape=-1, scale=2)
+    for bad in ({"id": "Z"}, {"censor_target": 20}, {"n0": 1}, {"n1": 1},
+                {"p1": 0.0}, {"p1": 1.5}):
+        with pytest.raises(InputError):
+            scenario(**{"id": "A", "n0": 100, "n1": 100, **bad})
 
 
 def test_preset_structure():
     b = scenario("B", 300, 500, 15)
-    assert b.theta == THETA_B
     assert b.n0 == 300 and b.n1 == 500 and b.censor_target == 15
-    d = scenario("D", 100, 100)
-    assert d.pieces0[0].shape == 1 and d.pieces0[0].scale == 2
-    assert d.pieces1[0].shape == 4
-    assert math.isinf(d.pieces0[-1].upper)
+    d0, d1 = _PIECES["D"]
+    assert d0[0].shape == 1 and d0[0].scale == 2
+    assert d1[0].shape == 4
+    assert math.isinf(d0[-1].upper)
 
 
 def test_generate_shapes_and_codes():
@@ -88,7 +81,7 @@ def test_event_type_mixture_identity():
             rng = np.random.default_rng(100 + group)
             s = generate_group(spec, group, n, rng)
             if sid in ("B", "C") and group == 1:
-                expected = 1.0 - (1.0 - spec.p1) ** math.exp(spec.theta)
+                expected = 1.0 - (1.0 - spec.p1) ** math.exp({"B": THETA_B, "C": THETA_C}[sid])
             else:
                 expected = spec.p1
             se = math.sqrt(expected * (1 - expected) / n)
@@ -104,15 +97,15 @@ def test_sdh_generator_matches_closed_form():
     for t in (0.5, 1.0, 2.0, 4.0):
         emp1 = np.mean((s.event == 1) & (s.time <= t))
         emp2 = np.mean((s.event == 2) & (s.time <= t))
-        assert abs(emp1 - sdh_cause1_cif(spec.p1, spec.theta, t)) < 0.003
-        assert abs(emp2 - sdh_cause2_cif(spec.p1, spec.theta, t)) < 0.003
+        assert abs(emp1 - sdh_cause1_cif(spec.p1, THETA_B, t)) < 0.003
+        assert abs(emp2 - sdh_cause2_cif(spec.p1, THETA_B, t)) < 0.003
 
 
 def test_piecewise_sampler_matches_cdf():
     # inverse-CDF draws reproduce the spliced distribution function
     for sid in ("D", "E", "F"):
         spec = scenario(sid, 100, 100, 0)
-        for group, pieces in ((0, spec.pieces0), (1, spec.pieces1)):
+        for group, pieces in enumerate(_PIECES[sid]):
             rng = np.random.default_rng(777)
             s = generate_group(spec, group, 400_000, rng)
             for t in (0.5, 1.0, 2.0, 3.0, 4.0):
@@ -123,8 +116,7 @@ def test_piecewise_sampler_matches_cdf():
 def test_piecewise_cdf_continuity():
     # cumulative incidence is continuous across breakpoints
     for sid in ("D", "E", "F"):
-        spec = scenario(sid, 100, 100, 0)
-        for pieces in (spec.pieces0, spec.pieces1):
+        for pieces in _PIECES[sid]:
             for piece in pieces[:-1]:
                 c = piece.upper
                 below = piecewise_cdf(pieces, c - 1e-9)

@@ -64,7 +64,7 @@ STUDIES = {
         scenario("D", 60, 60, 30), reps=100, seed=3, workers=workers
     ),
     "samplesize": lambda workers: run_samplesize_validation(
-        scenario("E", 60, 60, 15), seed=3, pilot_reps=40, power_reps=100, workers=workers
+        scenario("E", 60, 60, 15), seed=3, power_reps=100, workers=workers
     ),
 }
 
@@ -136,7 +136,7 @@ def test_power_censor_bounds_echoed():
         "power": (scenario("A", 80, 80, 30), lambda spec: run_power_study(spec, reps=120, seed=4)),
         "samplesize": (
             scenario("E", 60, 60, 15),
-            lambda spec: run_samplesize_validation(spec, seed=3, pilot_reps=40, power_reps=100),
+            lambda spec: run_samplesize_validation(spec, seed=3, power_reps=100),
         ),
     }
     for study, (spec, run) in studies.items():
@@ -171,19 +171,12 @@ def test_power_censor_bounds_echoed():
 
 def test_samplesize_validation_runs():
     spec = scenario("C", 150, 150, 0)
-    rep = run_samplesize_validation(
-        spec, seed=9, pilot_reps=60, power_reps=200, refinements=1
-    )
+    rep = run_samplesize_validation(spec, seed=9, power_reps=200)
     assert rep.mode == "samplesize"
     assert rep.metrics["total_n"]["value"] >= 4
     assert 0.0 <= rep.metrics["power_rmtld"]["value"] <= 1.0
     assert rep.extra["pilot_delta"] < 0
     assert rep.n0 == rep.n1  # ratio 1 preserved
-
-
-def test_samplesize_validation_rejects_too_few_pilot_reps():
-    with pytest.raises(ValueError, match="pilot_reps must be at least 1"):
-        run_samplesize_validation(scenario("C", 50, 50, 0), pilot_reps=0)
 
 
 def test_report_json_roundtrip():
@@ -210,7 +203,7 @@ def test_samplesize_reproduces_consistent_cell():
     # scenario E at 15% censoring: designed N lands within 10% of the
     # reference 438 and delivers roughly the 80% target
     rep = run_samplesize_validation(
-        scenario("E", 300, 300, 15), seed=606, pilot_reps=200, power_reps=1000
+        scenario("E", 300, 300, 15), seed=606, power_reps=1000
     )
     n = rep.metrics["total_n"]["value"]
     p = rep.metrics["power_rmtld"]["value"]
