@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import GroupSample, TwoGroupSample, ingest_single_group_csv, select_tau
+from .data import GroupSample, ingest_single_group_csv, select_tau
 from .design import DesignInput, estimate_sigma_sq, power_at, sample_size
 from .errors import (
     CalibrationError,
@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     SimulationError,
 )
-from .estimators import _sample_curves, curve_rows
+from .estimators import cif_pair, curve_rows
 from .inference import gray_test, rmtl, rmtld_test
 from .scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
 from .simulate import (
@@ -106,12 +106,11 @@ def _write_curves(base, samples):
     base = Path(base)
     written = []
     for sample in samples:
-        pair = _sample_curves(sample)
         path = _curve_path(base, sample.group)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "survival", "cif1", "cif2"])
-            writer.writerows(curve_rows(pair))
+            writer.writerows(curve_rows(cif_pair(sample)))
         written.append(path)
     return written
 
@@ -128,6 +127,7 @@ def cmd_analyze(args) -> int:
     manifest = _manifest("analyze", vars(args), [args.csv])
 
     if isinstance(data, GroupSample):
+        samples = [data]
         tau = args.tau if args.tau is not None else data.max_followup
         est = rmtl(data, tau)
         print(f"tau = {tau:.6g} ({'user-specified' if args.tau is not None else 'maximum follow-up'})")
@@ -140,37 +140,32 @@ def cmd_analyze(args) -> int:
             "rmtl": est.to_dict(),
             "manifest": manifest,
         }
-        if args.curves:
-            _write_curves(args.curves, [data])
-        if args.json:
-            _write_json(args.json, payload)
-        return EXIT_OK
+    else:
+        samples = [data.control, data.treatment]
+        tau = args.tau if args.tau is not None else select_tau(data.control, data.treatment)
+        rule = "user-specified" if args.tau is not None else "min-max rule"
+        result = rmtld_test(data.control, data.treatment, tau, alpha=args.alpha)
+        gray = gray_test(data.control, data.treatment, cause=1)
 
-    assert isinstance(data, TwoGroupSample)
-    tau = args.tau if args.tau is not None else select_tau(data.control, data.treatment)
-    rule = "user-specified" if args.tau is not None else "min-max rule"
-    result = rmtld_test(data.control, data.treatment, tau, alpha=args.alpha)
-    gray = gray_test(data.control, data.treatment, cause=1)
+        print(f"tau = {tau:.6g} ({rule})")
+        print(f"group 0 (control):   n = {data.control.n}, RMTL = "
+              f"{result.group0.mu:.4f} (SE {result.group0.se:.4f})")
+        print(f"group 1 (treatment): n = {data.treatment.n}, RMTL = "
+              f"{result.group1.mu:.4f} (SE {result.group1.se:.4f})")
+        print(f"RMTL difference = {result.delta:.4f}  "
+              f"{100 * (1 - result.alpha):.0f}% CI ({result.ci_low:.4f}, {result.ci_high:.4f})")
+        print(f"z = {result.z:.4f}  p = {_fmt_p(result.p)}")
+        print(f"Gray test (cause 1): chi2 = {gray.statistic:.4f}  p = {_fmt_p(gray.p)}")
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "mode": "two-group",
+            "rmtld": result.to_dict(),
+            "gray": gray.to_dict(),
+            "manifest": manifest,
+        }
 
-    print(f"tau = {tau:.6g} ({rule})")
-    print(f"group 0 (control):   n = {data.control.n}, RMTL = "
-          f"{result.group0.mu:.4f} (SE {result.group0.se:.4f})")
-    print(f"group 1 (treatment): n = {data.treatment.n}, RMTL = "
-          f"{result.group1.mu:.4f} (SE {result.group1.se:.4f})")
-    print(f"RMTL difference = {result.delta:.4f}  "
-          f"{100 * (1 - result.alpha):.0f}% CI ({result.ci_low:.4f}, {result.ci_high:.4f})")
-    print(f"z = {result.z:.4f}  p = {_fmt_p(result.p)}")
-    print(f"Gray test (cause 1): chi2 = {gray.statistic:.4f}  p = {_fmt_p(gray.p)}")
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "two-group",
-        "rmtld": result.to_dict(),
-        "gray": gray.to_dict(),
-        "manifest": manifest,
-    }
     if args.curves:
-        _write_curves(args.curves, [data.control, data.treatment])
+        _write_curves(args.curves, samples)
     if args.json:
         _write_json(args.json, payload)
     return EXIT_OK
@@ -248,6 +243,8 @@ def cmd_samplesize(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     spec = scenario(args.scenario, args.n0, args.n1, args.censoring)
     if args.mode == "estimation":
         report = run_estimation_study(

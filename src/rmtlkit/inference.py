@@ -7,11 +7,13 @@ the incidence curves, the risk set, and the exact tail integrals of the
 cause-1 curve. The between-group difference is tested against a normal
 reference; Gray's test (rho = 0) is provided as a comparator.
 
-Both are computed by row kernels, ``_rmtl_rows`` and ``_gray_rows``,
-over blocks of samples: the simulation engine passes many replicates
-at once, and ``rmtl``, ``variance_rmtl``, ``rmtld_test`` and
-``gray_test`` pass one. The kernels work on tie groups (runs of equal
-times), so tied and untied data take the same path.
+Both are computed by row kernels over blocks of samples: ``_rmtl_rows``
+for one arm, ``_rmtld_rows`` for the two-arm test built on it, and
+``_gray_rows``. The simulation engine passes many replicates at once,
+and ``rmtl``, ``variance_rmtl``, ``rmtld_test`` and ``gray_test`` pass
+one, so a replicate and a one-sample call share one implementation,
+degenerate-row errors included. The kernels work on tie groups (runs
+of equal times), so tied and untied data take the same path.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from .data import (
     EventTable,
     GroupSample,
     _tie_groups,
+    build_event_table,
     select_tau,
 )
 from .errors import DegenerateTestError, ExtrapolationError, InputError
-from .estimators import CifPair, _incidence, _sample_curves
+from .estimators import CifPair, _incidence
 
 __all__ = [
     "RmtlEstimate",
@@ -186,7 +189,7 @@ def rmtl(sample: GroupSample, tau: float) -> RmtlEstimate:
         raise ExtrapolationError(
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
         )
-    mu, var = _table_rmtl(_sample_curves(sample).table, tau)
+    mu, var = _table_rmtl(build_event_table(sample), tau)
     return RmtlEstimate(mu=mu, variance=var, tau=tau, n=sample.n)
 
 
@@ -212,25 +215,63 @@ def rmtld_test(
         raise ExtrapolationError(
             f"tau={tau} exceeds the shorter maximum follow-up {tau_max}"
         )
-    est0 = rmtl(sample0, tau)
-    est1 = rmtl(sample1, tau)
-    delta = est1.mu - est0.mu
-    var = est0.variance + est1.variance
-    if var <= 0.0:
-        raise DegenerateTestError(_RMTL_UNDEFINED)
-    z, p, ci_low, ci_high = (float(v) for v in _normal_test(delta, var, alpha))
+    if not tau > 0:
+        raise InputError(f"tau must be positive (got {tau})")
+    t = np.concatenate((sample0.time, sample1.time))[None]
+    e = np.concatenate((sample0.event, sample1.event))[None]
+    row = {k: float(v[0]) for k, v in _rmtld_rows(t, e, sample0.n, np.array([tau]), alpha).items()}
     return RmtldResult(
-        delta=delta,
-        variance=var,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        z=z,
-        p=p,
+        **{k: row[k] for k in ("delta", "variance", "ci_low", "ci_high", "z", "p")},
         alpha=alpha,
         tau=tau,
-        group0=est0,
-        group1=est1,
+        group0=RmtlEstimate(row["mu0"], row["var0"], tau, sample0.n),
+        group1=RmtlEstimate(row["mu1"], row["var1"], tau, sample1.n),
     )
+
+
+def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False, usable=None):
+    """Row-wise ``rmtld_test`` for a block of pooled two-arm samples:
+    ``t`` and ``e`` hold each row's times and event codes, control arm
+    first (columns below ``n0``), and ``tau`` each row's restriction.
+    With ``gray`` set, each row's Gray test (cause 1) p-value is added;
+    otherwise it is NaN.
+
+    Each arm is sorted on its own columns and pooled into tie groups, so
+    the order within a run of equal times is irrelevant. Returns per-row
+    arrays ``delta``, ``variance``, ``mu0``, ``var0``, ``mu1``, ``var1``,
+    ``z``, ``ci_low``, ``ci_high``, ``p`` and ``gray_p``. The first row
+    in ``usable`` (default: every row) with a non-positive RMTL or Gray
+    variance raises ``DegenerateTestError``, RMTL checked first.
+    """
+    fits = []
+    for ta, ea in ((t[:, :n0], e[:, :n0]), (t[:, n0:], e[:, n0:])):
+        order = np.argsort(ta, axis=1)
+        times, counts, at_risk, _ = _tie_groups(
+            np.take_along_axis(ta, order, axis=1), np.take_along_axis(ea, order, axis=1), 3
+        )
+        d1, d2 = counts[EVENT_INTEREST], counts[EVENT_COMPETING]
+        fits.append(_rmtl_rows(times, d1, d2, at_risk[0], tau))
+    (mu0, var0), (mu1, var1) = fits
+    delta = mu1 - mu0
+    variance = var0 + var1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
+    failed = variance <= 0.0
+    gray_p = np.full(t.shape[0], math.nan)
+    if gray:
+        stat, gray_var = _gray_rows(t, e, np.argsort(t, axis=1), n0, EVENT_INTEREST)
+        gray_p = chdtrc(1, stat)
+        failed |= gray_var <= 0.0
+    if usable is not None:
+        failed &= usable
+    if failed.any():
+        # the first such row in index order, RMTL before Gray
+        r = int(np.argmax(failed))
+        raise DegenerateTestError(_RMTL_UNDEFINED if variance[r] <= 0.0 else _GRAY_ZERO_VARIANCE)
+    return {
+        "delta": delta, "variance": variance, "mu0": mu0, "var0": var0, "mu1": mu1,
+        "var1": var1, "z": z, "ci_low": ci_low, "ci_high": ci_high, "p": p, "gray_p": gray_p,
+    }
 
 
 def _normal_test(delta, var, alpha):

@@ -21,28 +21,28 @@ Every replicate draws from its own counter-derived substream
 so results are identical for any worker count or execution order, and
 every reported metric carries a Monte-Carlo standard error.
 
-Replicates are computed in blocks of at most ``_BLOCK_ROWS`` rows by
-the same row kernels that serve the one-sample estimators, so every
-row, tied or not, equals ``rmtld_test`` and ``gray_test`` on the same
-subjects bit for bit, and a degenerate row raises the error they
-raise. One study call uses at most one process pool for all of its
-replicates.
+This module owns the draws and the restriction-time rule only.
+Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows by
+``inference._rmtld_rows``, the two-arm kernel that ``rmtld_test`` runs
+on one row, so every row, tied or not, equals ``rmtld_test`` and
+``gray_test`` on the same subjects bit for bit, and a degenerate row
+raises the error they raise. One study call uses at most one process
+pool for all of its replicates, with at most one worker per CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .data import EVENT_COMPETING, EVENT_INTEREST, _tie_groups
 from .design import DesignInput, DesignResult, sample_size
-from .errors import DegenerateTestError, InfeasibleDesignError, InputError, SimulationError
-from .inference import _GRAY_ZERO_VARIANCE, _RMTL_UNDEFINED, _gray_rows, _normal_test, _rmtl_rows
+from .errors import InfeasibleDesignError, InputError, SimulationError
+from .inference import _rmtld_rows
 from .scenarios import ScenarioSpec, _draw_arm, calibrate_censoring, true_rmtld
 
 __all__ = [
@@ -176,12 +176,12 @@ def _replicate_block(
     min-max restriction time, plus Gray's test when ``gray`` is set.
     Returns one array per name in ``_FIELDS`` plus the ``unusable``
     mask, which flags rows whose follow-up ends before ``fixed_tau``.
-    Each value equals what ``rmtld_test`` and ``gray_test`` give on the
-    same subjects, bit for bit, and a usable row with a non-positive
-    RMTL or Gray variance raises the ``DegenerateTestError`` they raise
-    for it. This is the only code that computes replicates;
-    ``_map_replicates`` feeds it blocks in this process or on the one
-    pool of the study call.
+    The test is ``_rmtld_rows``, the kernel ``rmtld_test`` runs on one
+    row, so each value equals what ``rmtld_test`` and ``gray_test`` give
+    on the same subjects, bit for bit, and a usable degenerate row
+    raises the ``DegenerateTestError`` they raise for it. This is the
+    only code that computes replicates; ``_map_replicates`` feeds it
+    blocks in this process or on the one pool of the study call.
     """
     n0 = spec.n0 if n0 is None else n0
     n1 = spec.n1 if n1 is None else n1
@@ -199,40 +199,8 @@ def _replicate_block(
     if fixed_tau is not None:
         unusable = tau < fixed_tau
         tau = np.full(rows, fixed_tau)
-    # tie groups make the order within a run of equal times irrelevant
-    order = np.argsort(t, axis=1)
-    ts = np.take_along_axis(t, order, axis=1)
-    es = np.take_along_axis(e, order, axis=1)
-    fits = []
-    for member in (order < n0, order >= n0):
-        times, counts, at_risk, _ = _tie_groups(
-            ts[member].reshape(rows, -1), es[member].reshape(rows, -1), 3
-        )
-        d1, d2 = counts[EVENT_INTEREST], counts[EVENT_COMPETING]
-        fits.append(_rmtl_rows(times, d1, d2, at_risk[0], tau))
-    (mu0, var0), (mu1, var1) = fits
-    delta = mu1 - mu0
-    variance = var0 + var1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, p, ci_low, ci_high = _normal_test(delta, variance, ALPHA)
-    failed = variance <= 0.0
-    gray_p = np.full(rows, math.nan)
-    if gray:
-        stat, gray_var = _gray_rows(t, e, order, n0, EVENT_INTEREST)
-        gray_p = chdtrc(1, stat)
-        failed |= gray_var <= 0.0
-    failed &= ~unusable
-    if failed.any():
-        # the first such row in index order, RMTL before Gray
-        r = int(np.argmax(failed))
-        raise DegenerateTestError(_RMTL_UNDEFINED if variance[r] <= 0.0 else _GRAY_ZERO_VARIANCE)
-
-    out = {
-        "tau": tau, "delta": delta, "variance": variance, "var0": var0, "var1": var1,
-        "ci_low": ci_low, "ci_high": ci_high, "p": p, "gray_p": gray_p,
-    }
-    for name in _FIELDS:
-        out[name][unusable] = math.nan
+    fit = {**_rmtld_rows(t, e, n0, tau, ALPHA, gray, ~unusable), "tau": tau}
+    out = {name: np.where(unusable, math.nan, fit[name]) for name in _FIELDS}
     out["unusable"] = unusable
     return out
 
@@ -258,12 +226,13 @@ def _map_replicates(spec, seed, reps, options, pool) -> dict:
 
 
 def _pool(spec: ScenarioSpec, workers: int):
-    """The one process pool of a study call, or a null context when
-    ``workers <= 1``."""
+    """The one process pool of a study call, of at most one worker per
+    CPU, or a null context when ``workers <= 1``. Reports do not depend
+    on the worker count."""
     if workers <= 1:
         return nullcontext()
     _bounds_for(spec)  # calibrate here, so forked workers inherit the cached bounds
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
 def _bounds_for(spec: ScenarioSpec) -> dict:

@@ -80,6 +80,7 @@ def test_analyze_curves_builds_each_arm_once(fixture_csv, tmp_path, monkeypatch,
         return real(sample)
 
     monkeypatch.setattr(estimators, "cif_pair", counting)
+    monkeypatch.setattr(rmtlkit.cli, "cif_pair", counting)
     assert main(["analyze", str(fixture_csv), "--curves", str(tmp_path / "c.csv")]) == 0
     assert sorted(built) == [0, 1]
     data = ingest_csv(str(fixture_csv))
@@ -310,6 +311,8 @@ def test_simulate_samplesize_few_reps_exit_2(capsys):
      "--reps", "100", "--fixed-tau", "inf"],
     ["simulate", "--scenario", "C", "--n0", "1", "--n1", "50", "--reps", "100"],
     ["simulate", "--scenario", "C", "--n0", "50", "--n1", "50", "--reps", "100", "--seed", "-1"],
+    ["simulate", "--scenario", "C", "--n0", "50", "--n1", "50", "--reps", "100", "--workers", "0"],
+    ["simulate", "--scenario", "C", "--n0", "50", "--n1", "50", "--reps", "100", "--workers", "-2"],
     ["samplesize", "--delta", "0.5", "--sigma0-sq", "1", "--sigma1-sq", "1", "--ratio", "0"],
     ["samplesize", "--delta", "nan", "--sigma0-sq", "1", "--sigma1-sq", "1"],
     ["samplesize", "--delta", "0.5", "--sigma0-sq", "inf", "--sigma1-sq", "1"],

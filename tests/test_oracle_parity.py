@@ -10,9 +10,12 @@ import scalar_oracle as oracle
 from rmtlkit import (
     DegenerateTestError,
     GroupSample,
+    RmtldResult,
+    RmtlEstimate,
     cif_pair,
     gray_test,
     rmtl,
+    rmtld_test,
     scenarios,
     select_tau,
     simulate,
@@ -46,6 +49,22 @@ def random_pairs(count, seed=11):
             time[0] = max(time[0], 1.0)
             arms.append(GroupSample(time, rng.integers(0, 3, n), group))
         yield tuple(arms)
+
+
+def oracle_rmtld_test(s0, s1, tau, alpha=0.05):
+    """``rmtld_test`` rebuilt from the oracle's curves and variances."""
+    (mu0, var0), (mu1, var1) = (
+        (pair.integrate("cif1", tau), oracle.variance_rmtl(pair, tau))
+        for pair in (oracle.cif_pair(s0), oracle.cif_pair(s1))
+    )
+    delta, variance = mu1 - mu0, var0 + var1
+    if variance <= 0.0:
+        raise DegenerateTestError("both groups are event-free before tau; the test is undefined")
+    z, p, ci_low, ci_high = (float(v) for v in _normal_test(delta, variance, alpha))
+    return RmtldResult(
+        delta, variance, ci_low, ci_high, z, p, alpha, tau,
+        RmtlEstimate(mu0, var0, tau, s0.n), RmtlEstimate(mu1, var1, tau, s1.n),
+    )
 
 
 def outcome(test, *args):
@@ -83,6 +102,8 @@ def assert_one_row_parity(s0, s1):
                 (ref.integrate("cif1", upper), want_var)
             )
             assert pickle.dumps(variance_rmtl(pair, upper)) == pickle.dumps(want_var)
+    for upper in (tau, tau / 2.0):
+        assert outcome(rmtld_test, s0, s1, upper) == outcome(oracle_rmtld_test, s0, s1, upper)
     for cause in (1, 2):
         assert outcome(gray_test, s0, s1, cause) == outcome(oracle.gray_test, s0, s1, cause)
 

@@ -1,7 +1,8 @@
 """The traced benchmark patches rmtlkit functions by module and name,
 and the package exports a fixed public list: both must keep resolving,
 and a traced study must still count its pool and collect the spans of
-its pool workers. The simulation engine's signatures are pinned too."""
+its pool workers. The simulation engine's signatures are pinned too,
+as are the functions and result fields the benchmark uses."""
 
 import dataclasses
 import importlib
@@ -56,6 +57,35 @@ def test_simulation_signature_is_pinned(name):
 def test_scenario_spec_fields_are_pinned():
     fields = [f.name for f in dataclasses.fields(rmtlkit.ScenarioSpec)]
     assert fields == ["id", "n0", "n1", "censor_target", "p1"]
+
+
+# bench/workloads.py calls these by position or keyword and reads these
+# result fields, so a rewrite cannot break the benchmark unnoticed.
+BENCH_API = {
+    "rmtld_test": ["sample0", "sample1", "tau", "alpha"],
+    "gray_test": ["sample0", "sample1", "cause"],
+    "generate_group": ["spec", "group", "n", "rng"],
+    "select_tau": ["sample0", "sample1"],
+    "sample_size": ["inp"],
+}
+BENCH_FIELDS = {
+    "RmtldResult": [
+        "delta", "variance", "ci_low", "ci_high", "z", "p", "alpha", "tau", "group0", "group1"
+    ],
+    "RmtlEstimate": ["mu", "variance", "tau", "n"],
+    "GrayResult": ["statistic", "p", "cause"],
+    "DesignInput": ["delta", "sigma0_sq", "sigma1_sq", "ratio", "alpha", "power"],
+}
+
+
+@pytest.mark.parametrize("name", BENCH_API)
+def test_bench_signature_is_pinned(name):
+    assert list(inspect.signature(getattr(rmtlkit, name)).parameters) == BENCH_API[name]
+
+
+@pytest.mark.parametrize("name", BENCH_FIELDS)
+def test_bench_result_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(getattr(rmtlkit, name))] == BENCH_FIELDS[name]
 
 
 def _traced_power_study(monkeypatch, tmp_path, workers):

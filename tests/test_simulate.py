@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -85,6 +86,32 @@ def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
     assert starts == [{"max_workers": 2}]
     assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
         parallel.to_json_dict(), sort_keys=True
+    )
+
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool that records its arguments and maps in this process,
+    # so the huge worker count never reaches a real pool
+    starts = []
+
+    class InProcessPool:
+        def __init__(self, **kwargs):
+            starts.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    capped = STUDIES["power"](10**6)
+    assert starts == [{"max_workers": os.cpu_count()}]
+    assert json.dumps(capped.to_json_dict(), sort_keys=True) == json.dumps(
+        STUDIES["power"](1).to_json_dict(), sort_keys=True
     )
 
 
