@@ -47,6 +47,12 @@ __all__ = [
     "gray_test",
 ]
 
+# Gray's test runs on slices of at most this many subject cells of a
+# block: its temporaries are about 20 times its input, and a replicate
+# block whose peak heap stays below glibc's trim threshold reuses its
+# pages instead of faulting them in again on every block.
+_GRAY_CELLS = 2**13
+
 _RMTL_UNDEFINED = "both groups are event-free before tau; the test is undefined"
 _GRAY_ZERO_VARIANCE = "degenerate Gray test: zero variance"
 
@@ -257,9 +263,14 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
     with np.errstate(divide="ignore", invalid="ignore"):
         z, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
     failed = variance <= 0.0
-    gray_p = np.full(t.shape[0], math.nan)
+    rows = t.shape[0]
+    gray_p = np.full(rows, math.nan)
     if gray:
-        stat, gray_var = _gray_rows(t, e, np.argsort(t, axis=1), n0, EVENT_INTEREST)
+        stat, gray_var = np.empty(rows), np.empty(rows)
+        step = max(1, _GRAY_CELLS // t.shape[1])
+        for k in range(0, rows, step):
+            s = slice(k, k + step)
+            stat[s], gray_var[s] = _gray_rows(t[s], e[s], np.argsort(t[s], axis=1), n0, EVENT_INTEREST)
         gray_p = chdtrc(1, stat)
         failed |= gray_var <= 0.0
     if usable is not None:
@@ -331,9 +342,13 @@ def _gray_rows(t, e, order, n0: int, cause: int):
     risk set at the start of a group, the censoring survival G(t-) of
     the arm, the weighted risk process, score, compensators and the
     residual of each event code. The grid is the set of groups with a
-    ``cause`` event; other groups add exactly 0. Subjects then gather
-    their residual from their group, in sample order, so each arm's sum
-    of squares is one dot product. Returns ``(statistic, variance)``.
+    ``cause`` event; other groups add exactly 0. Each arm's subjects
+    then gather their residual from their group, in sample order, so
+    the arm's sum of squares is one dot product. Only squares are
+    summed, so residuals are kept up to sign. This kernel sets the peak
+    memory of a replicate block, so the tie-group counts are released
+    before the residuals are built, one arm at a time (see
+    ``_GRAY_CELLS``). Returns ``(statistic, variance)``.
     """
     rows, n = t.shape
     other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
@@ -341,9 +356,8 @@ def _gray_rows(t, e, order, n0: int, cause: int):
     _, counts, at_risk, key = _tie_groups(
         np.take_along_axis(t, order, axis=1), np.take_along_axis(label, order, axis=1), 6
     )
+    np.put_along_axis(key, order, key.copy(), axis=1)  # now in sample order
     d_pool = counts[cause] + counts[3 + cause]
-    grid = d_pool > 0
-    zeros = np.zeros((rows, 1))
 
     arms = []
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -356,28 +370,25 @@ def _gray_rows(t, e, order, n0: int, cause: int):
         (r0, _), (r1, _) = arms
         r_pool = r0 + r1
         pooled = r_pool > 0
-        score = counts[3 + cause] - np.where(pooled, r1 / r_pool * d_pool, 0.0)
+        z = _row_fsums(counts[3 + cause] - np.where(pooled, r1 / r_pool * d_pool, 0.0), d_pool > 0)
         k_w = np.where(pooled, r1 * r0 / r_pool, 0.0)
         dlam = np.where(pooled, d_pool / r_pool, 0.0)
+        del label, counts, at_risk, d_pool, r_pool, pooled  # the block's largest temporaries
 
-        # residual by label (arm * 3 + event code) and group
-        eta = np.empty((6, r0.size))
-        for a, ((r_k, g_left), sign) in enumerate(zip(arms, (-1.0, 1.0))):
+        var = 0.0
+        for (r_k, g_left), cols in zip(arms, (slice(None, n0), slice(n0, None))):
             c = np.where(r_k > 0, k_w / r_k, 0.0)
             c_dlam = c * dlam
             comp = np.cumsum(c_dlam, axis=1)
             suffix = np.cumsum((c_dlam * g_left)[:, ::-1], axis=1)[:, ::-1]
-            after = np.concatenate((suffix[:, 1:], zeros), axis=1)
+            after = np.concatenate((suffix[:, 1:], np.zeros((rows, 1))), axis=1)
             comp_other = np.where(g_left > 0, after / g_left, 0.0)
-            eta[3 * a + EVENT_CENSORED] = (sign * (0.0 - comp)).ravel()
-            eta[3 * a + cause] = (sign * (c - comp)).ravel()
-            eta[3 * a + other] = (sign * (0.0 - (comp + comp_other))).ravel()
-
-    np.put_along_axis(key, order, key.copy(), axis=1)  # now in sample order
-    by_subject = eta[label, key]
-    z = _row_fsums(score, grid)
-    var = np.array(
-        [0.0 + np.dot(row[:n0], row[:n0]) + np.dot(row[n0:], row[n0:]) for row in by_subject]
-    )
+            # residual by event code and group, up to sign
+            eta = np.empty((3, r_k.size))
+            eta[EVENT_CENSORED] = comp.ravel()
+            eta[cause] = (c - comp).ravel()
+            eta[other] = (comp + comp_other).ravel()
+            residual = eta[e[:, cols], key[:, cols]]
+            var = var + np.array([np.dot(row, row) for row in residual])
     with np.errstate(divide="ignore", invalid="ignore"):
         return z * z / var, var

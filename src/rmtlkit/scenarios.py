@@ -265,8 +265,6 @@ def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | 
     key = (spec.id, spec.p1, group, target)
     if key in _censor_cache:
         return _censor_cache[key]
-    from scipy.optimize import brentq
-
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=_CAL_SEED, spawn_key=(group,))
     )
@@ -284,9 +282,63 @@ def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | 
                 f"cannot reach {target}% censoring; achieved range "
                 f"[{censor_rate(1e12):.4f}, {censor_rate(lo):.4f}]"
             )
-    bound = float(brentq(lambda b: censor_rate(b) - frac, lo, hi, xtol=1e-10))
+    bound = _brentq(lambda b: censor_rate(b) - frac, lo, hi, xtol=1e-10)[0]
     _censor_cache[key] = bound
     return bound
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> tuple[float, int, int]:
+    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method.
+
+    A line-for-line port of the C core of ``scipy.optimize.brentq`` at
+    its default ``rtol`` (4 eps) and ``maxiter`` (100): the same steps
+    give the same float, so calibrated bounds do not depend on which of
+    the two ran, and ``simulate`` needs no ``scipy.optimize`` import
+    (a third of its start-up). Returns ``(root, iterations,
+    function_calls)``.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    calls = 2
+    if fpre == 0:
+        return xpre, 0, calls
+    if fcur == 0:
+        return xcur, 0, calls
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CalibrationError("f(a) and f(b) must have different signs")
+    for iterations in range(1, 101):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, iterations, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        calls += 1
+    raise CalibrationError(f"root search did not converge in 100 iterations (last x={xcur})")
 
 
 def true_rmtld(spec: ScenarioSpec, tau: float = 4.0) -> float:

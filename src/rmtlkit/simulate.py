@@ -22,12 +22,13 @@ so results are identical for any worker count or execution order, and
 every reported metric carries a Monte-Carlo standard error.
 
 This module owns the draws and the restriction-time rule only.
-Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows by
-``inference._rmtld_rows``, the two-arm kernel that ``rmtld_test`` runs
-on one row, so every row, tied or not, equals ``rmtld_test`` and
-``gray_test`` on the same subjects bit for bit, and a degenerate row
-raises the error they raise. One study call uses at most one process
-pool for all of its replicates, with at most one worker per CPU.
+Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows and
+``_BLOCK_CELLS`` subjects by ``inference._rmtld_rows``, the two-arm
+kernel that ``rmtld_test`` runs on one row, so every row, tied or not,
+equals ``rmtld_test`` and ``gray_test`` on the same subjects bit for
+bit, and a degenerate row raises the error they raise. One study call
+uses at most one process pool for all of its replicates, with at most
+one worker per CPU.
 """
 
 from __future__ import annotations
@@ -61,17 +62,21 @@ TARGET_POWER = 0.8
 REFINEMENTS = 2
 # Largest designed arm a validation simulates: B-F designs reach 1,576 per
 # arm (F, 45% censoring, 60/60 pilot, seed 5); the null scenario A asks for
-# 883,121 or more, and a 32-row block of that size needs gigabytes.
+# 883,121 or more, and one replicate of that size needs hundreds of megabytes.
 MAX_ARM = 100_000
 
 _PHASE_MAIN = 0
 _PHASE_PILOT = 1
 _PHASE_POWER = 2
 
-# Replicates per array pass. Rows are computed independently, so any
-# block size gives the same bits; larger blocks only add peak memory
-# (100-row blocks of a 300/300 cell already cost megabytes).
+# Replicates per array pass: at most _BLOCK_ROWS rows and, above one row,
+# at most _BLOCK_CELLS subjects (rows x (n0 + n1)). Rows are computed
+# independently, so any block size gives the same bits; larger blocks only
+# add peak memory (one row costs about 37 MB per 100,000 subjects). The
+# cell budget keeps 32 rows for every B-F design (up to 2,048 per arm)
+# and gives one row near MAX_ARM.
 _BLOCK_ROWS = 32
+_BLOCK_CELLS = 2**17
 
 # A pool gets at least this many jobs (reps permitting), so its workers
 # finish together and hold small blocks (32-row blocks of the designed
@@ -213,10 +218,13 @@ def _chunk_worker(args):
 
 
 def _map_replicates(spec, seed, reps, options, pool) -> dict:
-    """Replicates ``0 .. reps-1`` in blocks of at most ``_BLOCK_ROWS``,
-    run by ``pool`` or, when it is None, in this process; rows in index
-    order."""
-    rows = _BLOCK_ROWS if pool is None else min(_BLOCK_ROWS, -(-reps // _POOL_JOBS))
+    """Replicates ``0 .. reps-1`` in blocks of at most ``_BLOCK_ROWS``
+    rows and ``_BLOCK_CELLS`` subjects, run by ``pool`` or, when it is
+    None, in this process; rows in index order."""
+    cells = options.get("n0", spec.n0) + options.get("n1", spec.n1)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cells))
+    if pool is not None:
+        rows = min(rows, -(-reps // _POOL_JOBS))
     blocks = [range(k, min(k + rows, reps)) for k in range(0, reps, rows)]
     if pool is None:
         parts = [_replicate_block(spec, seed, block, **options) for block in blocks]

@@ -93,18 +93,25 @@ def test_analyze_curves_builds_each_arm_once(fixture_csv, tmp_path, monkeypatch,
         assert written == expected.getvalue().encode()
 
 
-def test_cli_import_skips_stats_optimize_integrate():
+def test_cli_import_skips_stats_optimize_integrate(tmp_path):
+    # neither the import nor censored simulate studies, which calibrate
+    # censoring, load these modules
     code = (
-        "import sys, rmtlkit.cli; "
+        "import sys, rmtlkit.cli as cli\n"
+        "for mode in ('power', 'samplesize'):\n"
+        "    assert cli.main(['simulate', '--mode', mode, '--scenario', 'C', '--n0', '40',\n"
+        "                     '--n1', '40', '--censoring', '30', '--reps', '100',\n"
+        "                     '--out', sys.argv[1] + mode]) == 0\n"
         "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
         "if m in sys.modules])"
     )
     src = str(Path(rmtlkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path / "study_")],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_analyze_identical_groups(tmp_path, capsys):

@@ -15,6 +15,7 @@ from rmtlkit import (
     rmtld_test,
     variance_rmtl,
 )
+from rmtlkit.inference import _gray_rows
 from rmtlkit.scenarios import scenario, generate_group
 
 
@@ -325,14 +326,15 @@ def test_gray_permutation_oracle():
     ).statistic
     perm_rng = np.random.default_rng(99)
     n_perm = 20000
+    # each permutation is one block row, control arm first in index order;
+    # a block row gives gray_test's statistic (tests/test_block.py)
+    lab = np.array([perm_rng.permutation(labels) for _ in range(n_perm)])
+    subjects = np.argsort(lab, axis=1, kind="stable")
     hits = 0
-    for _ in range(n_perm):
-        lab = perm_rng.permutation(labels)
-        stat = gray_test(
-            GroupSample(time[lab == 0], event[lab == 0], 0),
-            GroupSample(time[lab == 1], event[lab == 1], 1),
-        ).statistic
-        hits += stat >= obs
+    for rows in np.array_split(subjects, 20):
+        t, e = time[rows], event[rows]
+        stat, _ = _gray_rows(t, e, np.argsort(t, axis=1), n, 1)
+        hits += np.count_nonzero(stat >= obs)
     p_perm = hits / n_perm
     p_analytic = float(chi2.sf(obs, 1))
     assert abs(p_analytic - p_perm) < 0.02

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rmtlkit import CalibrationError, InputError
+from rmtlkit import CalibrationError, InputError, scenarios
 from rmtlkit.scenarios import (
     THETA_B,
     THETA_C,
@@ -148,6 +148,55 @@ def test_calibrate_censoring_targets():
             s = generate_group(spec, group, 200_000, rng)
             rate = float(np.mean(s.event == 0))
             assert abs(rate - target / 100.0) < 0.01, (sid, group, rate)
+
+
+def test_brentq_port_matches_scipy(monkeypatch):
+    # the port returns scipy's root after the same iterations and function
+    # calls, on every calibration function and on random bracketed roots
+    port = scenarios._brentq
+
+    def same(f, a, b, xtol):
+        root, res = brentq(f, a, b, xtol=xtol, full_output=True)
+        return port(f, a, b, xtol) == (root, res.iterations, res.function_calls)
+
+    matches = []
+
+    def checked(f, a, b, xtol):
+        values = {}  # both searches evaluate f at the same points
+
+        def g(x):
+            if x not in values:
+                values[x] = f(x)
+            return values[x]
+
+        matches.append(same(g, a, b, xtol))
+        return port(g, a, b, xtol)
+
+    monkeypatch.setattr(scenarios, "_brentq", checked)
+    monkeypatch.setattr(scenarios, "_censor_cache", {})
+    for p1 in (0.7, 1.0, 0.3):
+        for sid in "ABCDEF":
+            for target in (15, 30, 45):
+                for group in (0, 1):
+                    calibrate_censoring(scenario(sid, 10, 10, target, p1), target, group)
+    assert len(matches) == 108 and all(matches)
+
+    rng = np.random.default_rng(2024)
+    families = (
+        lambda x, r, s: s * (x - r) * (1.0 + 0.3 * math.sin(x)),
+        lambda x, r, s: s * math.copysign(abs(x - r) ** (1 / 3), x - r),
+        lambda x, r, s: math.expm1(s * (x - r)),
+        lambda x, r, s: (x - r) ** 3 + s * (x - r),
+    )
+    for xtol in (2e-12, 1e-10, 1e-4):
+        for k in range(800):
+            root = rng.normal() * 10 ** rng.uniform(-3, 3)
+            scale = rng.uniform(0.1, 10)
+            fam = families[k % len(families)]
+            a, b = root - rng.uniform(1e-3, 30), root + rng.uniform(1e-3, 30)
+            if k % 2:
+                a, b = b, a
+            assert same(lambda x: fam(x, root, scale), a, b, xtol), (xtol, k)
 
 
 def test_calibrate_censoring_zero_means_none():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ from rmtlkit.design import DesignInput, sample_size
 from rmtlkit.scenarios import calibrate_censoring, scenario
 from rmtlkit.simulate import (
     _map_replicates,
+    _replicate_block,
     run_estimation_study,
     run_power_study,
     run_samplesize_validation,
@@ -260,3 +262,37 @@ def test_error_shrinks_with_sample_size():
         rows = _map_replicates(spec, 55, 150, {"fixed_tau": 4.0, "gray": False}, pool=None)
         means.append(np.mean(np.abs(rows["delta"][~rows["unusable"]] - truth)))
     assert means[0] > means[1] > means[2]
+
+
+def test_block_peak_memory():
+    # a warm 32-row block of the C 300/300 30% power cell peaks at no more
+    # than half the 6.45 MB it took before Gray's test ran in slices: below
+    # the 3.2 MB trim threshold that calibration's freed arrays leave glibc
+    # with, so warm blocks reuse their heap instead of faulting it in again
+    spec = scenario("C", 300, 300, 30)
+    _replicate_block(spec, 1, range(32))
+    tracemalloc.start()
+    try:
+        _replicate_block(spec, 2, range(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6
+
+
+def test_block_rows_follow_the_cell_budget(monkeypatch):
+    # near MAX_ARM a block holds one row; B-F designs (up to 1,576 per arm)
+    # keep 32-row blocks. The blocks are recorded, not drawn.
+    blocks = []
+
+    def record(spec, seed, indices, **options):
+        blocks.append(len(indices))
+        return {"delta": np.zeros(len(indices))}
+
+    monkeypatch.setattr(simulate, "_replicate_block", record)
+    spec = scenario("D", 300, 300, 15)
+    for n, rows in ((50_000, [1, 1, 1]), (1_576, [32, 8]), (300, [32, 8])):
+        blocks.clear()
+        reps = sum(rows)
+        out = _map_replicates(spec, 0, reps, {"phase": 2, "n0": n, "n1": n}, None)
+        assert blocks == rows and out["delta"].size == reps
