@@ -136,10 +136,7 @@ def build_event_table(sample: GroupSample) -> EventTable:
     under permutation of the input records. A sample with no events
     yields an empty table.
     """
-    order = np.argsort(sample.time)
-    times, counts, at_risk, _ = _tie_groups(
-        sample.time[order][None], sample.event[order][None], 3
-    )
+    times, counts, at_risk, _, _ = _tie_groups(sample.time[None], sample.event[None], 3)
     d1, d2 = counts[EVENT_INTEREST, 0], counts[EVENT_COMPETING, 0]
     event = d1 + d2 > 0
     return EventTable(
@@ -147,12 +144,13 @@ def build_event_table(sample: GroupSample) -> EventTable:
     )
 
 
-def _tie_groups(ts: np.ndarray, labels: np.ndarray, n_labels: int):
-    """Pool the runs of equal times in each row of ``ts`` (rows, n), a
-    block of rows sorted by time; a run is one tie group.
+def _tie_groups(t: np.ndarray, labels: np.ndarray, n_labels: int):
+    """Pool the runs of equal times in each row of ``t`` (rows, n), a
+    block whose rows hold their subjects in any order: each row is
+    sorted here, so no caller sorts. A run is one tie group.
 
-    ``labels`` gives each position's arm * 3 + event code, below
-    ``n_labels``. Returns ``(times, counts, at_risk, key)``:
+    ``labels`` gives each subject's arm * 3 + event code, below
+    ``n_labels``. Returns ``(times, counts, at_risk, key, order)``:
 
     * ``times[r, g]``: the time of group g of row r (inf past the row's
       last group, where every count is 0);
@@ -160,9 +158,13 @@ def _tie_groups(ts: np.ndarray, labels: np.ndarray, n_labels: int):
     * ``at_risk[arm, r, g]``: that arm's subjects at or after it. The
       risk set is taken at the start of the group, so a subject
       censored at an event time stays at risk there;
-    * ``key[r, i]``: the flat index ``r * K + g`` of position i's group.
+    * ``key[r, i]``: the flat index ``r * K + g`` of the group of the
+      i-th subject of row r in time order, which is subject
+      ``order[r, i]``.
     """
-    rows, n = ts.shape
+    rows, n = t.shape
+    order = np.argsort(t, axis=1)
+    ts = np.take_along_axis(t, order, axis=1)
     new = np.ones((rows, n), dtype=bool)
     np.not_equal(ts[:, 1:], ts[:, :-1], out=new[:, 1:])
     # in place, so a one-row call on a large file holds few subject-length arrays
@@ -170,7 +172,8 @@ def _tie_groups(ts: np.ndarray, labels: np.ndarray, n_labels: int):
     width = int(key[:, -1].max())
     key += width * np.arange(rows)[:, None] - 1
     size = rows * width
-    index = labels * size
+    index = np.take_along_axis(labels, order, axis=1)
+    index *= size
     index += key
     counts = np.bincount(index.ravel(), minlength=n_labels * size).reshape(n_labels, rows, width)
     by_arm = counts.reshape(-1, 3, rows, width)
@@ -178,7 +181,7 @@ def _tie_groups(ts: np.ndarray, labels: np.ndarray, n_labels: int):
     at_risk = np.cumsum(size_by_arm[..., ::-1], axis=-1)[..., ::-1]
     times = np.full(size, np.inf)
     times[key] = ts  # every position of a group holds the same time
-    return times.reshape(rows, width), counts, at_risk, key
+    return times.reshape(rows, width), counts, at_risk, key, order
 
 
 def select_tau(sample0: GroupSample, sample1: GroupSample) -> float:

@@ -1,9 +1,9 @@
 """Nonparametric estimators: all-cause Kaplan-Meier survival and
 cause-specific cumulative incidence (Aalen-Johansen form).
 
-All three curves are exact step functions on the group's event times,
-so restricted means are computed by exact integration rather than
-quadrature.
+All three curves are exact step functions on the group's event times.
+The RMTL, the area under the cause-1 curve, is integrated exactly by
+``inference._rmtl_rows``.
 """
 
 from __future__ import annotations
@@ -13,12 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventTable, GroupSample, build_event_table
-from .stepfun import integrate_step
 
-__all__ = ["CifPair", "cif_pair", "curve_rows", "integrate_step"]
-
-# value of each curve before the first event time
-_INITIAL = {"survival": 1.0, "cif1": 0.0, "cif2": 0.0}
+__all__ = ["CifPair", "cif_pair", "curve_rows"]
 
 
 @dataclass(frozen=True)
@@ -43,25 +39,6 @@ class CifPair:
             total = self.cif1 + self.cif2 + self.survival
             if np.max(np.abs(total - 1.0)) > 1e-10:
                 raise ValueError("cif1 + cif2 + survival must equal 1 at all knots")
-
-    def at(self, t):
-        """(S(t), F1(t), F2(t)): the values at the last event time <= t,
-        for a scalar or an array ``t``."""
-        i = np.searchsorted(self.table.times, t, side="right") - 1
-        before = i < 0
-        i = np.maximum(i, 0)
-        empty = self.table.n_times == 0
-        return tuple(
-            np.where(before, initial, 0.0 if empty else getattr(self, name)[i])[()]
-            for name, initial in _INITIAL.items()
-        )
-
-    def integrate(self, curve: str, upper: float) -> float:
-        """Exact area under ``curve`` ("survival", "cif1" or "cif2") on
-        [0, upper]."""
-        return integrate_step(
-            self.table.times, getattr(self, curve), upper, _INITIAL[curve]
-        )
 
 
 def cif_pair(sample: GroupSample) -> CifPair:

@@ -7,13 +7,14 @@ the incidence curves, the risk set, and the exact tail integrals of the
 cause-1 curve. The between-group difference is tested against a normal
 reference; Gray's test (rho = 0) is provided as a comparator.
 
-Both are computed by row kernels over blocks of samples: ``_rmtl_rows``
+Both are computed by row kernels over blocks of samples: ``_arm_rmtl``
 for one arm, ``_rmtld_rows`` for the two-arm test built on it, and
 ``_gray_rows``. The simulation engine passes many replicates at once,
-and ``rmtl``, ``variance_rmtl``, ``rmtld_test`` and ``gray_test`` pass
-one, so a replicate and a one-sample call share one implementation,
-degenerate-row errors included. The kernels work on tie groups (runs
-of equal times), so tied and untied data take the same path.
+and ``rmtl``, ``rmtld_test`` and ``gray_test`` pass one, so a
+replicate and a one-sample call share one implementation,
+degenerate-row errors included. The kernels work on the tie groups
+(runs of equal times) of ``data._tie_groups``, which sorts each row
+itself, so tied and untied data take the same path and no caller sorts.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .data import (
     EVENT_CENSORED,
     EVENT_COMPETING,
     EVENT_INTEREST,
-    EventTable,
     GroupSample,
     _tie_groups,
-    build_event_table,
     select_tau,
 )
 from .errors import DegenerateTestError, ExtrapolationError, InputError
@@ -134,14 +133,16 @@ def variance_rmtl(pair: CifPair, tau: float) -> float:
     """
     if not tau > 0:
         raise InputError(f"tau must be positive (got {tau})")
-    return _table_rmtl(pair.table, tau)[1]
-
-
-def _table_rmtl(table: EventTable, tau: float) -> tuple[float, float]:
-    """``_rmtl_rows`` on one event table: ``(mu, variance)``."""
+    table = pair.table
     rows = (a[None] for a in (table.times, table.d1, table.d2, table.at_risk))
-    mu, var = _rmtl_rows(*rows, np.array([tau]))
-    return float(mu[0]), float(var[0])
+    return float(_rmtl_rows(*rows, np.array([tau]))[1][0])
+
+
+def _arm_rmtl(t, e, tau: np.ndarray):
+    """``_rmtl_rows`` on the tie groups of a block of one-arm samples:
+    times ``t`` and event codes ``e`` (rows, n), in any order."""
+    times, counts, at_risk, _, _ = _tie_groups(t, e, 3)
+    return _rmtl_rows(times, counts[EVENT_INTEREST], counts[EVENT_COMPETING], at_risk[0], tau)
 
 
 def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):
@@ -195,8 +196,8 @@ def rmtl(sample: GroupSample, tau: float) -> RmtlEstimate:
         raise ExtrapolationError(
             f"tau={tau} exceeds the maximum follow-up {sample.max_followup}"
         )
-    mu, var = _table_rmtl(build_event_table(sample), tau)
-    return RmtlEstimate(mu=mu, variance=var, tau=tau, n=sample.n)
+    mu, var = _arm_rmtl(sample.time[None], sample.event[None], np.array([tau]))
+    return RmtlEstimate(mu=float(mu[0]), variance=float(var[0]), tau=tau, n=sample.n)
 
 
 def rmtld_test(
@@ -242,22 +243,16 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
     With ``gray`` set, each row's Gray test (cause 1) p-value is added;
     otherwise it is NaN.
 
-    Each arm is sorted on its own columns and pooled into tie groups, so
+    Each arm's columns are pooled into tie groups by ``_arm_rmtl``, so
     the order within a run of equal times is irrelevant. Returns per-row
     arrays ``delta``, ``variance``, ``mu0``, ``var0``, ``mu1``, ``var1``,
     ``z``, ``ci_low``, ``ci_high``, ``p`` and ``gray_p``. The first row
     in ``usable`` (default: every row) with a non-positive RMTL or Gray
     variance raises ``DegenerateTestError``, RMTL checked first.
     """
-    fits = []
-    for ta, ea in ((t[:, :n0], e[:, :n0]), (t[:, n0:], e[:, n0:])):
-        order = np.argsort(ta, axis=1)
-        times, counts, at_risk, _ = _tie_groups(
-            np.take_along_axis(ta, order, axis=1), np.take_along_axis(ea, order, axis=1), 3
-        )
-        d1, d2 = counts[EVENT_INTEREST], counts[EVENT_COMPETING]
-        fits.append(_rmtl_rows(times, d1, d2, at_risk[0], tau))
-    (mu0, var0), (mu1, var1) = fits
+    (mu0, var0), (mu1, var1) = (
+        _arm_rmtl(t[:, arm], e[:, arm], tau) for arm in (slice(None, n0), slice(n0, None))
+    )
     delta = mu1 - mu0
     variance = var0 + var1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,7 +265,7 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
         step = max(1, _GRAY_CELLS // t.shape[1])
         for k in range(0, rows, step):
             s = slice(k, k + step)
-            stat[s], gray_var[s] = _gray_rows(t[s], e[s], np.argsort(t[s], axis=1), n0, EVENT_INTEREST)
+            stat[s], gray_var[s] = _gray_rows(t[s], e[s], n0, EVENT_INTEREST)
         gray_p = chdtrc(1, stat)
         failed |= gray_var <= 0.0
     if usable is not None:
@@ -309,7 +304,7 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     if not np.any(e == cause):
         raise DegenerateTestError(f"no events of cause {cause} in either group")
     t = np.concatenate((sample0.time, sample1.time))[None]
-    stat, var = _gray_rows(t, e, np.argsort(t, axis=1), sample0.n, cause)
+    stat, var = _gray_rows(t, e, sample0.n, cause)
     if var[0] <= 0.0:
         raise DegenerateTestError(_GRAY_ZERO_VARIANCE)
     return GrayResult(statistic=float(stat[0]), p=float(chdtrc(1, stat[0])), cause=cause)
@@ -333,10 +328,10 @@ def _subject_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(terms.reshape(rows, -1), axis=1).ravel()[before]
 
 
-def _gray_rows(t, e, order, n0: int, cause: int):
+def _gray_rows(t, e, n0: int, cause: int):
     """Row-wise ``gray_test`` for a block of pooled two-arm samples:
     ``t`` and ``e`` hold each row's times and event codes, control arm
-    first (columns below ``n0``), and ``order`` each row's sort by time.
+    first (columns below ``n0``), in any order.
 
     Every per-time quantity lives on the row's tie groups: each arm's
     risk set at the start of a group, the censoring survival G(t-) of
@@ -353,9 +348,7 @@ def _gray_rows(t, e, order, n0: int, cause: int):
     rows, n = t.shape
     other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
     label = e + 3 * (np.arange(n) >= n0)  # arm * 3 + event code
-    _, counts, at_risk, key = _tie_groups(
-        np.take_along_axis(t, order, axis=1), np.take_along_axis(label, order, axis=1), 6
-    )
+    _, counts, at_risk, key, order = _tie_groups(t, label, 6)
     np.put_along_axis(key, order, key.copy(), axis=1)  # now in sample order
     d_pool = counts[cause] + counts[3 + cause]
 
@@ -373,7 +366,7 @@ def _gray_rows(t, e, order, n0: int, cause: int):
         z = _row_fsums(counts[3 + cause] - np.where(pooled, r1 / r_pool * d_pool, 0.0), d_pool > 0)
         k_w = np.where(pooled, r1 * r0 / r_pool, 0.0)
         dlam = np.where(pooled, d_pool / r_pool, 0.0)
-        del label, counts, at_risk, d_pool, r_pool, pooled  # the block's largest temporaries
+        del label, order, counts, at_risk, d_pool, r_pool, pooled  # the largest temporaries
 
         var = 0.0
         for (r_k, g_left), cols in zip(arms, (slice(None, n0), slice(n0, None))):

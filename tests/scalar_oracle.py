@@ -5,7 +5,8 @@ These are the one-sample implementations that the row kernels in
 event table of one sample, its Kaplan-Meier and Aalen-Johansen curves, the
 martingale variance of the RMTL (left survival weight), and Gray's test
 built from a reverse Kaplan-Meier of the censoring distribution. The
-kernels must reproduce them bit for bit, ties included.
+kernels must reproduce them bit for bit, ties included. ``curves_at``
+evaluates the curves of a ``CifPair`` at any time.
 """
 
 import math
@@ -16,6 +17,17 @@ from scipy.special import chdtrc
 from rmtlkit import DegenerateTestError, EventTable, GrayResult, GroupSample
 from rmtlkit.data import EVENT_CENSORED, EVENT_COMPETING, EVENT_INTEREST
 from rmtlkit.estimators import CifPair
+
+
+# each curve's value before the first event time
+INITIAL = {"survival": 1.0, "cif1": 0.0, "cif2": 0.0}
+
+
+def curves_at(pair: CifPair, t):
+    """(S(t), F1(t), F2(t)): each curve at the last event time <= t, or
+    its initial value before the first one, for a scalar or an array ``t``."""
+    i = np.searchsorted(pair.table.times, t, side="right")
+    return tuple(np.concatenate(([INITIAL[name]], getattr(pair, name)))[i] for name in INITIAL)
 
 
 def build_event_table(sample: GroupSample) -> EventTable:

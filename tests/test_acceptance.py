@@ -10,6 +10,7 @@ import pytest
 from rmtlkit import (
     GroupSample,
     cif_pair,
+    integrate_step,
     rmtl,
     run_estimation_study,
     run_power_study,
@@ -67,7 +68,7 @@ def test_criterion_01_exact_oracles():
         keep = pair.table.times <= tau
         jumps = np.diff(np.concatenate(([0.0], pair.cif1)))[keep]
         jump_form = float(np.sum(jumps * (tau - pair.table.times[keep])))
-        worst_jmp = max(worst_jmp, abs(pair.integrate("cif1", tau) - jump_form))
+        worst_jmp = max(worst_jmp, abs(integrate_step(pair.table.times, pair.cif1, tau) - jump_form))
     ok = worst_unc <= 1e-12 and worst_jmp <= 1e-12
     report(
         1,
@@ -86,9 +87,9 @@ def test_criterion_02_conservation():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.05, s.max_followup + 2.0))
         total = (
-            pair.integrate("survival", tau)
-            + pair.integrate("cif1", tau)
-            + pair.integrate("cif2", tau)
+            integrate_step(pair.table.times, pair.survival, tau, 1.0)
+            + integrate_step(pair.table.times, pair.cif1, tau)
+            + integrate_step(pair.table.times, pair.cif2, tau)
         )
         worst = max(worst, abs(total - tau))
     ok = worst <= 1e-10

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scalar_oracle import curves_at
 
-from rmtlkit import GroupSample, cif_pair, curve_rows
+from rmtlkit import GroupSample, cif_pair, curve_rows, integrate_step
 
 
 def make_sample(pairs, group=0):
@@ -22,31 +23,31 @@ FIXTURE = [(1, 1), (2, 0), (3, 1), (4, 2)]
 
 def test_km_fixture():
     pair = cif_pair(make_sample(FIXTURE))
-    assert pair.at(0.5)[0] == 1.0
-    assert pair.at(1.0)[0] == pytest.approx(0.75)
-    assert pair.at(2.9)[0] == pytest.approx(0.75)
-    assert pair.at(3.0)[0] == pytest.approx(0.375)
-    assert pair.at(4.0)[0] == 0.0
+    assert curves_at(pair, 0.5)[0] == 1.0
+    assert curves_at(pair, 1.0)[0] == pytest.approx(0.75)
+    assert curves_at(pair, 2.9)[0] == pytest.approx(0.75)
+    assert curves_at(pair, 3.0)[0] == pytest.approx(0.375)
+    assert curves_at(pair, 4.0)[0] == 0.0
 
 
 def test_km_empty_table():
     pair = cif_pair(make_sample([(1, 0), (2, 0)]))
-    assert pair.at(100.0)[0] == 1.0
+    assert curves_at(pair, 100.0)[0] == 1.0
 
 
 def test_km_single_event():
     pair = cif_pair(make_sample([(5, 1), (5, 1)]))
-    assert pair.at(4.999)[0] == 1.0
-    assert pair.at(5.0)[0] == 0.0
+    assert curves_at(pair, 4.999)[0] == 1.0
+    assert curves_at(pair, 5.0)[0] == 0.0
 
 
 def test_cif_fixture():
     pair = cif_pair(make_sample(FIXTURE))
-    assert pair.at(1.0)[1] == pytest.approx(0.25)
-    assert pair.at(3.0)[1] == pytest.approx(0.625)
-    assert pair.at(4.0)[1] == pytest.approx(0.625)
-    assert pair.at(3.999)[2] == 0.0
-    assert pair.at(4.0)[2] == pytest.approx(0.375)
+    assert curves_at(pair, 1.0)[1] == pytest.approx(0.25)
+    assert curves_at(pair, 3.0)[1] == pytest.approx(0.625)
+    assert curves_at(pair, 4.0)[1] == pytest.approx(0.625)
+    assert curves_at(pair, 3.999)[2] == 0.0
+    assert curves_at(pair, 4.0)[2] == pytest.approx(0.375)
 
 
 def test_cif_uncensored_subdistribution():
@@ -56,13 +57,13 @@ def test_cif_uncensored_subdistribution():
         time = rng.exponential(1.0, n)
         event = rng.integers(1, 3, n)
         pair = cif_pair(GroupSample(time, event, 0))
-        assert pair.at(time.max())[1] == pytest.approx(np.mean(event == 1), abs=1e-12)
+        assert curves_at(pair, time.max())[1] == pytest.approx(np.mean(event == 1), abs=1e-12)
 
 
 def test_integration_fixture():
     s = make_sample(FIXTURE)
     pair = cif_pair(s)
-    assert pair.integrate("cif1", 4.0) == pytest.approx(1.125, abs=1e-15)
+    assert integrate_step(pair.table.times, pair.cif1, 4.0) == pytest.approx(1.125, abs=1e-15)
 
 
 def test_additivity_and_monotonicity_fuzz():
@@ -73,7 +74,7 @@ def test_additivity_and_monotonicity_fuzz():
         t = pair.table.times
         if t.size == 0:
             continue
-        surv, f1, f2 = pair.at(t)
+        surv, f1, f2 = curves_at(pair, t)
         total = f1 + f2 + surv
         assert np.max(np.abs(total - 1.0)) < 1e-10
         assert np.all(np.diff(pair.survival) <= 1e-12)
@@ -90,9 +91,9 @@ def test_integral_conservation_fuzz():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.05, s.max_followup + 1.0))
         total = (
-            pair.integrate("survival", tau)
-            + pair.integrate("cif1", tau)
-            + pair.integrate("cif2", tau)
+            integrate_step(pair.table.times, pair.survival, tau, 1.0)
+            + integrate_step(pair.table.times, pair.cif1, tau)
+            + integrate_step(pair.table.times, pair.cif2, tau)
         )
         assert total == pytest.approx(tau, abs=1e-10)
 
@@ -109,7 +110,7 @@ def test_jump_rectangle_equivalence_fuzz():
         keep = pair.table.times <= tau
         jumps = np.diff(np.concatenate(([0.0], pair.cif1)))[keep]
         jump_form = float(np.sum(jumps * (tau - pair.table.times[keep])))
-        assert pair.integrate("cif1", tau) == pytest.approx(jump_form, abs=1e-12)
+        assert integrate_step(pair.table.times, pair.cif1, tau) == pytest.approx(jump_form, abs=1e-12)
 
 
 def test_uncensored_integral_oracle():
@@ -122,7 +123,7 @@ def test_uncensored_integral_oracle():
         pair = cif_pair(s)
         tau = float(rng.uniform(0.2, time.max()))
         oracle = np.sum(np.where((event == 1) & (time <= tau), tau - time, 0.0)) / n
-        assert pair.integrate("cif1", tau) == pytest.approx(oracle, abs=1e-12)
+        assert integrate_step(pair.table.times, pair.cif1, tau) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_curve_rows():
@@ -138,6 +139,6 @@ def test_curve_rows():
     for _ in range(30):
         pair = cif_pair(random_sample(rng))
         expected = [(0.0, 1.0, 0.0, 0.0)] + [
-            (float(t), *map(float, pair.at(t))) for t in pair.table.times
+            (float(t), *map(float, curves_at(pair, t))) for t in pair.table.times
         ]
         assert curve_rows(pair) == expected

@@ -14,6 +14,7 @@ from rmtlkit import (
     RmtlEstimate,
     cif_pair,
     gray_test,
+    integrate_step,
     rmtl,
     rmtld_test,
     scenarios,
@@ -54,7 +55,7 @@ def random_pairs(count, seed=11):
 def oracle_rmtld_test(s0, s1, tau, alpha=0.05):
     """``rmtld_test`` rebuilt from the oracle's curves and variances."""
     (mu0, var0), (mu1, var1) = (
-        (pair.integrate("cif1", tau), oracle.variance_rmtl(pair, tau))
+        (integrate_step(pair.table.times, pair.cif1, tau), oracle.variance_rmtl(pair, tau))
         for pair in (oracle.cif_pair(s0), oracle.cif_pair(s1))
     )
     delta, variance = mu1 - mu0, var0 + var1
@@ -99,7 +100,7 @@ def assert_one_row_parity(s0, s1):
             est = rmtl(sample, upper)
             want_var = oracle.variance_rmtl(ref, upper)
             assert pickle.dumps((est.mu, est.variance)) == pickle.dumps(
-                (ref.integrate("cif1", upper), want_var)
+                (integrate_step(ref.table.times, ref.cif1, upper), want_var)
             )
             assert pickle.dumps(variance_rmtl(pair, upper)) == pickle.dumps(want_var)
     for upper in (tau, tau / 2.0):
@@ -134,7 +135,7 @@ def test_block_rows_match_the_oracle(monkeypatch, gray):
         s0, s1 = (generate_group(spec, g, 25, rng) for g in (0, 1))
         tau = select_tau(s0, s1)
         (mu0, var0), (mu1, var1) = (
-            (pair.integrate("cif1", tau), oracle.variance_rmtl(pair, tau))
+            (integrate_step(pair.table.times, pair.cif1, tau), oracle.variance_rmtl(pair, tau))
             for pair in (oracle.cif_pair(s0), oracle.cif_pair(s1))
         )
         delta, variance = mu1 - mu0, var0 + var1

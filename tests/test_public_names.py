@@ -1,14 +1,16 @@
 """The traced benchmark patches rmtlkit functions by module and name,
 and the package exports a fixed public list: both must keep resolving,
-and a traced study must still count its pool and collect the spans of
-its pool workers. The simulation engine's signatures are pinned too,
-as are the functions and result fields the benchmark uses."""
+and a submodule's ``__all__`` names only what it defines. A traced
+study must still count its pool and collect the spans of its pool
+workers. The simulation engine's signatures are pinned too, as are the
+functions and result fields the benchmark uses."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -34,6 +36,14 @@ def test_bench_trace_target_resolves(module, attr, span):
 
 def test_public_names_resolve():
     assert [name for name in rmtlkit.__all__ if not hasattr(rmtlkit, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(rmtlkit.__path__)))
+def test_submodule_all_holds_no_reexports(module):
+    # a submodule lists only what it defines; the package __all__ gathers them
+    mod = importlib.import_module(f"rmtlkit.{module}")
+    names = getattr(mod, "__all__", [])
+    assert [name for name in names if getattr(mod, name).__module__ != mod.__name__] == []
 
 
 # The simulation design is fixed, so these take no study constants

@@ -85,7 +85,8 @@ def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
     serial = STUDIES[study](1)
     assert starts == []
     parallel = STUDIES[study](2)
-    assert starts == [{"max_workers": 2}]
+    # the pool is capped at the CPU count, as in simulate._pool
+    assert starts == [{"max_workers": min(2, os.cpu_count() or 1)}]
     assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
         parallel.to_json_dict(), sort_keys=True
     )
@@ -264,16 +265,32 @@ def test_error_shrinks_with_sample_size():
     assert means[0] > means[1] > means[2]
 
 
-def test_block_peak_memory():
-    # a warm 32-row block of the C 300/300 30% power cell peaks at no more
-    # than half the 6.45 MB it took before Gray's test ran in slices: below
-    # the 3.2 MB trim threshold that calibration's freed arrays leave glibc
-    # with, so warm blocks reuse their heap instead of faulting it in again
-    spec = scenario("C", 300, 300, 30)
-    _replicate_block(spec, 1, range(32))
+# warm blocks of the sim-power cell and of the D 511/511 design that the
+# sim-samplesize benchmark reaches, in the shapes its 2-worker pool runs:
+# 25-row pilot blocks without Gray and 13-row power blocks with Gray
+PEAK_BLOCKS = {
+    "C-300-power": (scenario("C", 300, 300, 30), 32, {}),
+    "D-511-pilot": (
+        scenario("D", 300, 300, 15), 25,
+        {"phase": simulate._PHASE_PILOT, "n0": 511, "n1": 511, "gray": False},
+    ),
+    "D-511-power": (
+        scenario("D", 300, 300, 15), 13, {"phase": simulate._PHASE_POWER, "n0": 511, "n1": 511}
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", PEAK_BLOCKS)
+def test_block_peak_memory(cell):
+    # a warm block peaks below the 3.2 MB trim threshold that calibration's
+    # freed arrays leave glibc with (the C block took 6.45 MB before Gray's
+    # test ran in slices), so warm blocks reuse their heap instead of
+    # faulting it in again
+    spec, rows, options = PEAK_BLOCKS[cell]
+    _replicate_block(spec, 1, range(rows), **options)
     tracemalloc.start()
     try:
-        _replicate_block(spec, 2, range(32))
+        _replicate_block(spec, 2, range(rows), **options)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

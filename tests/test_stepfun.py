@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scalar_oracle import curves_at
 
 from rmtlkit import CifPair, EventTable, integrate_step
 
@@ -16,13 +17,13 @@ def step_pair(knots, survival):
 
 def test_eval_right_continuous():
     pair = step_pair([1.0, 3.0], [0.5, 0.2])
-    values = [pair.at(t)[0] for t in (0.0, 0.999, 1.0, 2.5, 3.0, 10.0)]
+    values = [curves_at(pair, t)[0] for t in (0.0, 0.999, 1.0, 2.5, 3.0, 10.0)]
     assert values == [1.0, 1.0, 0.5, 0.5, 0.2, 0.2]
 
 
 def test_vector_eval():
     pair = step_pair([1.0, 2.0], [0.4, 0.1])
-    out = pair.at(np.array([0.5, 1.0, 1.5, 2.0, 9.0]))[0]
+    out = curves_at(pair, np.array([0.5, 1.0, 1.5, 2.0, 9.0]))[0]
     assert out.tolist() == [1.0, 0.4, 0.4, 0.1, 0.1]
 
 
