@@ -26,16 +26,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from test_cli import FIXTURE, SINGLE
 
 from rmtlkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 7
 SECTIONS = ("power", "estimation", "samplesize", "aborts", "analyze")
-
-# the two-group and one-group fixtures of tests/test_cli.py
-FIXTURE = "time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
-SINGLE = "time,event,group\n1,1,0\n2,0,0\n3,1,0\n4,2,0\n"
 
 
 def tie_heavy_csv(groups=(0, 1), n=1500):
