@@ -191,46 +191,61 @@ def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
 # sampling
 
 
-def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
-    """Latent event types and failure times for one arm, uncensored."""
-    p1 = spec.p1
-    treated_sdh = spec.id in _THETA and group == 1
-    if treated_sdh:
-        rate = math.exp(_THETA[spec.id])
-        p_cause1 = 1.0 - (1.0 - p1) ** rate
-    else:
-        p_cause1 = p1
+def _cause1_share(spec: ScenarioSpec, group: int) -> float:
+    """Probability that a subject of the arm fails from cause 1."""
+    if spec.id in _THETA and group == 1:
+        return 1.0 - (1.0 - spec.p1) ** math.exp(_THETA[spec.id])
+    return spec.p1
 
-    cause = np.where(rng.random(n) < p_cause1, 1, 2).astype(np.int64)
-    u = rng.random(n)
-    times = np.empty(n, dtype=float)
 
+def _failure_times(spec: ScenarioSpec, group: int, cause: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Failure times given the event types ``cause``, by exact inverse
+    CDF of the failure-time uniforms ``u`` (any shape)."""
+    times = np.empty(u.shape)
     is1 = cause == 1
-    if spec.id in ("A", "B", "C") and not treated_sdh:
-        # both causes are unit exponential given the type
-        times[:] = -np.log1p(-u)
-    elif treated_sdh:
+    if spec.id in _THETA and group == 1:
+        rate = math.exp(_THETA[spec.id])
         # cause 1: exact inverse of the conditional subdistribution CDF
-        v = u[is1] * p_cause1
+        v = u[is1] * _cause1_share(spec, group)
         inner = 1.0 - (1.0 - v) ** (1.0 / rate)
-        times[is1] = -np.log1p(-np.clip(inner / p1, 0.0, 1.0 - 1e-16))
+        times[is1] = -np.log1p(-np.clip(inner / spec.p1, 0.0, 1.0 - 1e-16))
         # cause 2: exponential with rate exp(theta)
         times[~is1] = -np.log1p(-u[~is1]) / rate
+    elif spec.id in ("A", "B", "C"):
+        # both causes are unit exponential given the type
+        times[...] = -np.log1p(-u)
     else:
-        times[:] = _cum_hazard_inverse(_PIECES[spec.id][group], -np.log1p(-u))
-    return cause, times
+        times[...] = _cum_hazard_inverse(_PIECES[spec.id][group], -np.log1p(-u))
+    return times
 
 
-def _draw_arm(spec: ScenarioSpec, group: int, n: int, rng, bound: float | None) -> tuple:
-    """Observed times and event codes of one arm: latent failures, then
-    uniform censoring on (0, ``bound``), or none when ``bound`` is None.
-    Every simulated arm is drawn here, so a substream always yields the
-    same subjects."""
-    cause, times = _draw_failures(spec, group, n, rng)
+def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
+    """Latent event types and failure times for one arm, uncensored."""
+    # the cause uniforms die at the comparison, before np.where allocates
+    cause = np.where(rng.random(n) < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    return cause, _failure_times(spec, group, cause, rng.random(n))
+
+
+def _observe(spec: ScenarioSpec, group: int, u: np.ndarray, bound: float | None) -> tuple:
+    """Observed times and event codes from raw uniforms: types from ``u[0]``,
+    failure times from ``u[1]``, censoring on (0, ``bound``) from ``u[2]``."""
+    cause = np.where(u[0] < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    times = _failure_times(spec, group, cause, u[1])
     if bound is None:
         return times, cause
-    c = rng.uniform(0.0, bound, n)
+    c = bound * u[2]  # rng.uniform's 0.0 + bound * u, bit for bit
     return np.minimum(times, c), np.where(times <= c, cause, 0)
+
+
+def _draw_rows(spec: ScenarioSpec, group: int, rngs, n: int, bound: float | None) -> tuple:
+    """Every simulated arm: ``n`` subjects per generator in ``rngs``, one
+    row each. A row draws n cause, n failure-time and, when censored, n
+    censoring uniforms; then all rows pass through ``_observe`` at once."""
+    u = np.empty((2 if bound is None else 3, len(rngs), n))
+    for r, rng in enumerate(rngs):
+        for row in u[:, r]:
+            rng.random(out=row)
+    return _observe(spec, group, u, bound)
 
 
 def generate_group(spec: ScenarioSpec, group: int, n: int, rng) -> GroupSample:
@@ -239,7 +254,8 @@ def generate_group(spec: ScenarioSpec, group: int, n: int, rng) -> GroupSample:
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
     bound = calibrate_censoring(spec, spec.censor_target, group)
-    return GroupSample(*_draw_arm(spec, group, n, rng, bound), group)
+    time, event = _draw_rows(spec, group, [rng], n, bound)
+    return GroupSample(time[0], event[0], group)
 
 
 # ---------------------------------------------------------------------------

@@ -93,21 +93,20 @@ def test_block_size_invariance(monkeypatch):
 
 
 @pytest.mark.parametrize("decimals", [3, 0])
-def test_tied_rows_match_run_replicate(monkeypatch, decimals):
-    draw = scenarios._draw_arm
+def test_tied_rows_match_the_scalar_path(monkeypatch, decimals):
+    observe = scenarios._observe
 
     def rounded(*args):
-        time, event = draw(*args)
+        time, event = observe(*args)
         return np.round(time, decimals), event
 
-    monkeypatch.setattr(scenarios, "_draw_arm", rounded)
-    monkeypatch.setattr(simulate, "_draw_arm", rounded)
+    # every arm, block or one-row, is drawn through this one transform
+    monkeypatch.setattr(scenarios, "_observe", rounded)
     spec = scenario("C", 25, 25, 30)
-    bounds = simulate._bounds_for(spec)
 
     def has_tie(i):
         rng = simulate._rng_for(SEED, 0, i)
-        pooled = np.concatenate([rounded(spec, g, 25, rng, bounds[g])[0] for g in (0, 1)])
+        pooled = np.concatenate([generate_group(spec, g, 25, rng).time for g in (0, 1)])
         return np.unique(pooled).size < pooled.size
 
     tied = sum(has_tie(i) for i in range(60))
@@ -126,3 +125,55 @@ def test_degenerate_row_raises_the_scalar_error(gray):
     with pytest.raises(DegenerateTestError) as block:
         _replicate_block(spec, SEED, [1, 3], gray=gray)
     assert str(block.value) == str(scalar.value)
+
+
+def substream_arm(spec, group, n, rng):
+    """One arm as the substream contract lays it out: n cause uniforms,
+    n failure-time uniforms, then n censoring uniforms drawn by
+    ``rng.uniform`` when the arm is censored."""
+    bound = simulate._bounds_for(spec)[group]
+    cause, times = scenarios._draw_failures(spec, group, n, rng)
+    if bound is None:
+        return times, cause
+    c = rng.uniform(0.0, bound, n)
+    return np.minimum(times, c), np.where(times <= c, cause, 0)
+
+
+def test_block_draw_keeps_the_substream_layout(monkeypatch):
+    # the subjects a block hands the kernel, and the state each row's
+    # generator is left in, match per-row generate_group (control arm
+    # first) and the substream contract, bit for bit
+    drawn, made = [], []
+    rng_for = simulate._rng_for
+
+    def kernel(t, e, n0, tau, alpha, gray, usable):
+        drawn.append((t.copy(), e.copy()))
+        return dict.fromkeys(_FIELDS, np.zeros(len(t)))
+
+    def spy_rng(*key):
+        made.append(rng_for(*key))
+        return made[-1]
+
+    monkeypatch.setattr(simulate, "_rmtld_rows", kernel)
+    monkeypatch.setattr(simulate, "_rng_for", spy_rng)
+    n0, n1 = 37, 29
+    shuffled = np.random.default_rng(3).permutation(40)[:13].tolist()
+    for sid in SCENARIO_IDS:
+        for cr in CENSOR_TARGETS:
+            spec = scenario(sid, n0, n1, cr)
+            for indices in ([11], shuffled):
+                drawn.clear()
+                made.clear()
+                _replicate_block(spec, SEED, indices, phase=simulate._PHASE_POWER)
+                (t, e), = drawn
+                for r, i in enumerate(indices):
+                    rng = rng_for(SEED, simulate._PHASE_POWER, i)
+                    ref = rng_for(SEED, simulate._PHASE_POWER, i)
+                    for g, cols in ((0, slice(0, n0)), (1, slice(n0, n0 + n1))):
+                        sample = generate_group(spec, g, cols.stop - cols.start, rng)
+                        want = substream_arm(spec, g, cols.stop - cols.start, ref)
+                        for got in ((sample.time, sample.event), (t[r, cols], e[r, cols])):
+                            assert got[0].tobytes() == want[0].tobytes(), (sid, cr, i, g)
+                            assert got[1].tobytes() == want[1].tobytes(), (sid, cr, i, g)
+                    state = ref.bit_generator.state
+                    assert rng.bit_generator.state == state == made[r].bit_generator.state

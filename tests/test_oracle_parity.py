@@ -119,14 +119,13 @@ def test_case_shapes():
 
 @pytest.mark.parametrize("gray", [True, False])
 def test_block_rows_match_the_oracle(monkeypatch, gray):
-    draw = scenarios._draw_arm
+    observe = scenarios._observe
 
     def rounded(*args):
-        time, event = draw(*args)
+        time, event = observe(*args)
         return np.round(time), event
 
-    monkeypatch.setattr(scenarios, "_draw_arm", rounded)
-    monkeypatch.setattr(simulate, "_draw_arm", rounded)
+    monkeypatch.setattr(scenarios, "_observe", rounded)
     spec = scenario("C", 25, 25, 30)
     seed, rows = 77, 40
     got = simulate._replicate_block(spec, seed, range(rows), gray=gray)
