@@ -15,6 +15,10 @@ replicate and a one-sample call share one implementation,
 degenerate-row errors included. The kernels work on the tie groups
 (runs of equal times) of ``data._tie_groups``, which sorts each row
 itself, so tied and untied data take the same path and no caller sorts.
+Their sums over event times and subjects are correctly rounded (the
+``math.fsum`` value) by ``_row_fsums``, a block at a time by error-free
+extraction with a ``math.fsum`` fallback per uncertified row, so no
+result depends on summation order, padding or BLAS threads.
 """
 
 from __future__ import annotations
@@ -152,10 +156,11 @@ def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):
     with ``tau`` the per-row restriction. A time without events (a
     censoring-only tie group, or padding) adds exactly 0 everywhere, so
     each row gives the values of its own event table. The RMTL and the
-    two variance sums are ``math.fsum`` over the kept event times.
+    two variance sums are correctly rounded sums over the kept event
+    times (the ``math.fsum`` values), taken in one ``_row_fsums`` call.
     Returns ``(mu, variance)`` per row.
     """
-    _, s_left, df1, df2, f1, f2 = _incidence(d1, d2, y)
+    s_left, df1, df2, f1, f2 = _incidence(d1, d2, y)[1:]
     taus = tau[:, None]
     event = d1 + d2 > 0
     keep = event & (times <= taus)
@@ -164,24 +169,63 @@ def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):
     seg_end = np.minimum(
         np.concatenate((next_event[:, 1:], np.full((times.shape[0], 1), np.inf)), axis=1), taus
     )
+    # the two variance terms and the areas; only the kept entries are summed
+    terms = np.zeros((3,) + times.shape)
     with np.errstate(invalid="ignore"):
-        areas = np.where(keep, f1 * np.maximum(seg_end - times, 0.0), 0.0)
-    tails = np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
-    # only the kept entries of the variance terms are summed
+        np.multiply(f1, np.maximum(seg_end - times, 0.0), out=terms[2], where=keep)
+    tails = np.cumsum(terms[2][:, ::-1], axis=1)[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = y * s_left
-        term1 = ((taus - times) * (1.0 - f2) - tails) ** 2 / weight * df1
-        term2 = ((taus - times) * f1 - tails) ** 2 / weight * df2
-    var = np.maximum(_row_fsums(term1, keep) + _row_fsums(term2, keep), 0.0)
-    return _row_fsums(areas, keep), var
+        np.multiply(((taus - times) * (1.0 - f2) - tails) ** 2 / weight, df1, out=terms[0])
+        np.multiply(((taus - times) * f1 - tails) ** 2 / weight, df2, out=terms[1])
+    del s_left, df1, df2, f1, f2, next_event, seg_end, tails, weight  # before the sums' buffer
+    sum1, sum2, mu = _row_fsums(terms, keep)
+    return mu, np.maximum(sum1 + sum2, 0.0)
 
 
-def _row_fsums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of the masked entries of each row of ``values``:
-    correctly rounded, so neither their order nor added zeros matter."""
-    flat = memoryview(values[mask])
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-    return np.array([math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)])
+def _row_fsums(values: np.ndarray, mask) -> np.ndarray:
+    """``math.fsum`` of the entries of ``values`` that ``mask`` (which
+    broadcasts against it) selects, along the last axis: correctly
+    rounded, so neither their order nor added zeros matter.
+
+    One array pass per block, by the error-free extraction of Rump, Ogita
+    and Oishi (Accurate floating-point summation, part I, 2008): with
+    sigma = 2^(ceil(log2(n + 2)) + e) per row of n entries (unselected
+    ones as zeros), all below 2^e in magnitude, ``q = (sigma + x) -
+    sigma`` has an exact sum in any order and ``x - q`` is exact. The tails ``x - q`` are summed in
+    floating point with a rigorous bound on their error, and the sum is
+    rounded with TwoSum. A row is accepted only when the TwoSum error
+    plus that bound lies strictly within half the gap to the neighbouring
+    floats (a quarter of the spacing at a power of two, where the gap
+    below is half as wide); correct rounding is unique, so it is then the
+    ``math.fsum`` value. Every other row (not certified, a zero sum or
+    not finite) is ``math.fsum`` of its entries, so its bits and errors
+    (``OverflowError``, ``ValueError``) are those of ``math.fsum``.
+    """
+    n = values.shape[-1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x = np.where(mask, values, 0.0)
+        top = np.abs(x).max(axis=-1, initial=0.0)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + (n + 1).bit_length())
+        q = x + sigma[..., None]
+        q -= sigma[..., None]
+        x -= q  # the tails, exactly, each at most u * sigma (u = 2^-53)
+        hi = q.sum(axis=-1)  # exact: every partial sum is a float
+        del q
+        lo = x.sum(axis=-1)
+        # in any order, lo is off the tails' sum by at most
+        # (n-1)u / (1 - (n-1)u) * n u sigma <= 2 n^2 u^2 sigma, a product that
+        # is exact or, when it underflows, within the smallest subnormal
+        bound = sigma * (n * n * 2.0**-105) + math.ulp(0.0)
+        total = hi + lo
+        lo_in_total = total - hi  # TwoSum: total + err == hi + lo exactly
+        err = (hi - (total - lo_in_total)) + (lo - lo_in_total)
+        # a zero, NaN or infinite total has no positive gap, so it falls back
+        gap = np.abs(np.spacing(total)) / np.where(np.abs(np.frexp(total)[0]) == 0.5, 4.0, 2.0)
+        exact = np.abs(err) + bound < gap
+    for i in zip(*np.nonzero(~exact)):
+        total[i] = math.fsum(values[i][np.broadcast_to(mask, values.shape)[i]].tolist())
+    return total
 
 
 def rmtl(sample: GroupSample, tau: float) -> RmtlEstimate:
@@ -338,12 +382,13 @@ def _gray_rows(t, e, n0: int, cause: int):
     the arm, the weighted risk process, score, compensators and the
     residual of each event code. The grid is the set of groups with a
     ``cause`` event; other groups add exactly 0. Each arm's subjects
-    then gather their residual from their group, in sample order, so
-    the arm's sum of squares is one dot product. Only squares are
-    summed, so residuals are kept up to sign. This kernel sets the peak
-    memory of a replicate block, so the tie-group counts are released
-    before the residuals are built, one arm at a time (see
-    ``_GRAY_CELLS``). Returns ``(statistic, variance)``.
+    then gather their residual from their group, in sample order, and
+    the arm's sum of squares is correctly rounded by ``_row_fsums``, as
+    is the score. Only squares are summed, so residuals are kept up to
+    sign. This kernel sets the peak memory of a replicate block, so the
+    tie-group counts are released before the residuals are built, one
+    arm at a time (see ``_GRAY_CELLS``). Returns ``(statistic,
+    variance)``.
     """
     rows, n = t.shape
     other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
@@ -382,6 +427,6 @@ def _gray_rows(t, e, n0: int, cause: int):
             eta[cause] = (c - comp).ravel()
             eta[other] = (comp + comp_other).ravel()
             residual = eta[e[:, cols], key[:, cols]]
-            var = var + np.array([np.dot(row, row) for row in residual])
+            var = var + _row_fsums(residual * residual, True)
     with np.errstate(divide="ignore", invalid="ignore"):
         return z * z / var, var

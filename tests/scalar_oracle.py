@@ -219,7 +219,7 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
                 ev_val = np.where(r_k[pos] > 0, k_w[pos] / r_k[pos], 0.0)
             ev[is_cause] = ev_val
         eta = sign * (ev - comp)
-        var += float(np.dot(eta, eta))
+        var += math.fsum(eta * eta)
 
     if var <= 0.0:
         raise DegenerateTestError("degenerate Gray test: zero variance")

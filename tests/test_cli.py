@@ -365,6 +365,31 @@ def test_internal_error_exits_1_with_traceback(fixture_csv):
     assert "Traceback" in out.stderr and "ValueError: injected fault" in out.stderr
 
 
+def test_analyze_json_does_not_depend_on_blas_threads(tmp_path):
+    # a threaded BLAS splits sums above about 10,000 terms and rounds them
+    # by thread count; every sum in the kernels is correctly rounded instead
+    spec = scenario("C", 20000, 20000, 30)
+    rng = np.random.default_rng(7)
+    lines = ["time,event,group"]
+    for group in (0, 1):
+        sample = generate_group(spec, group, 20000, rng)
+        lines += [f"{t:.6f},{e},{group}" for t, e in zip(sample.time, sample.event)]
+    path = tmp_path / "large.csv"
+    path.write_text("\n".join(lines) + "\n")
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    payloads = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "rmtlkit.cli", "analyze", str(path), "--json", "out.json"],
+            cwd=run_dir, env=env, capture_output=True, check=True, timeout=120,
+        )
+        payloads.append((run_dir / "out.json").read_bytes())
+    assert payloads[0] == payloads[1]
+
+
 def _limit_address_space():
     import resource
 
