@@ -1,7 +1,7 @@
 """``inference._row_fsums`` is ``math.fsum`` of each row's masked
-entries, bit for bit and error for error: on random rows, on rows at
-the edges of its rounding certificate, and with few rows left to its
-``math.fsum`` fallback on real replicate blocks."""
+entries, bit for bit and error for error, on random rows and on rows at
+the edges of its rounding certificate. (``test_simulate`` checks that
+real replicate blocks leave few rows to its ``math.fsum`` fallback.)"""
 
 import math
 
@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmtlkit import inference, simulate
 from rmtlkit.inference import _row_fsums
-from rmtlkit.scenarios import scenario
 
 exact = settings(derandomize=True, database=None, deadline=None)
 
@@ -72,35 +70,36 @@ def test_row_sums_equal_math_fsum(rows):
     )
 
 
-def kept(*values):
+def row_of(*values):
+    """A row that keeps all of ``values``."""
     return [(v, True) for v in values]
 
 
 FIXED = {
-    "cancels to zero": [kept(1.0, 1e100, -1.0, -1e100), kept(0.1, -0.1), kept(3.0, -1.5, -1.5)],
-    "negative zeros": [kept(-0.0), kept(-0.0, -0.0), kept(-0.0, 0.0), kept(1.0, -0.0)],
+    "cancels to zero": [row_of(1.0, 1e100, -1.0, -1e100), row_of(0.1, -0.1), row_of(3.0, -1.5, -1.5)],
+    "negative zeros": [row_of(-0.0), row_of(-0.0, -0.0), row_of(-0.0, 0.0), row_of(1.0, -0.0)],
     "half-ulp ties": [
-        kept(1.0, 2**-53),  # to even: 1
-        kept(1.0 + 2**-52, 2**-53),  # to even: up
-        kept(1.0, 2**-53, 2**-150),  # a far tail breaks the tie
-        kept(1.5, 2**-53, 2**-150),
-        kept(1.5, 2**-53, -(2**-150)),
+        row_of(1.0, 2**-53),  # to even: 1
+        row_of(1.0 + 2**-52, 2**-53),  # to even: up
+        row_of(1.0, 2**-53, 2**-150),  # a far tail breaks the tie
+        row_of(1.5, 2**-53, 2**-150),
+        row_of(1.5, 2**-53, -(2**-150)),
     ],
     "powers of two": [
-        kept(1.0, -(2**-54)),  # a tie below 1, to even: 1
-        kept(1.0, -(2**-54), -(2**-150)),  # just below that tie
-        kept(0.75, 0.25),
-        kept(2.0**52, 0.5, -(2.0**52), 2**-54, 2**-200),  # cancelled: inexact tails
+        row_of(1.0, -(2**-54)),  # a tie below 1, to even: 1
+        row_of(1.0, -(2**-54), -(2**-150)),  # just below that tie
+        row_of(0.75, 0.25),
+        row_of(2.0**52, 0.5, -(2.0**52), 2**-54, 2**-200),  # cancelled: inexact tails
     ],
     "extraction headroom": [
-        kept(0.75, 0.75, 0.75 + 2**-52, 2**-60),
-        kept(-0.75 - 2**-52, -0.75, -0.75, -(2**-60)),
+        row_of(0.75, 0.75, 0.75 + 2**-52, 2**-60),
+        row_of(-0.75 - 2**-52, -0.75, -0.75, -(2**-60)),
     ],
-    "subnormals": [kept(5e-324, 5e-324), kept(2**-1022, -5e-324), kept(1e-310, 1e-310, -3e-310)],
-    "1e300 mixes": [kept(1e300, 1e-300, -1e300), kept(1e300, 1e300, 1.0), kept(-1e-300, 1e300)],
+    "subnormals": [row_of(5e-324, 5e-324), row_of(2**-1022, -5e-324), row_of(1e-310, 1e-310, -3e-310)],
+    "1e300 mixes": [row_of(1e300, 1e-300, -1e300), row_of(1e300, 1e300, 1.0), row_of(-1e-300, 1e300)],
     "empty and unkept": [[], [(1.0, False), (2.0, False)], [(np.inf, False), (3.0, True)]],
-    "non-finite": [kept(np.inf, 1.0), kept(-np.inf, np.inf), kept(np.nan, 1.0), kept(1.0, np.nan)],
-    "overflow": [kept(1.7e308, 1.7e308), kept(1.7e308, 1.7e308, -1.7e308), kept(1.7e308, -1.7e308)],
+    "non-finite": [row_of(np.inf, 1.0), row_of(-np.inf, np.inf), row_of(np.nan, 1.0), row_of(1.0, np.nan)],
+    "overflow": [row_of(1.7e308, 1.7e308), row_of(1.7e308, 1.7e308, -1.7e308), row_of(1.7e308, -1.7e308)],
 }
 
 
@@ -113,37 +112,3 @@ def test_fixed_rows_equal_math_fsum(case):
 
 def test_zero_width_rows():
     assert _row_fsums(np.empty((2, 0)), np.empty((2, 0), dtype=bool)).tobytes() == bytes(16)
-
-
-# the sim-power cell's block, and the D 511/511 pilot block of the
-# sim-samplesize design (test_simulate.PEAK_BLOCKS)
-BLOCKS = {
-    "C-300-power": (scenario("C", 300, 300, 30), 32, {}),
-    "D-511-pilot": (
-        scenario("D", 300, 300, 15), 25,
-        {"phase": simulate._PHASE_PILOT, "n0": 511, "n1": 511, "gray": False},
-    ),
-}
-
-
-@pytest.mark.parametrize("cell", BLOCKS)
-def test_few_row_sums_fall_back_to_math_fsum(cell, monkeypatch):
-    # a certificate that never holds would give the same bits at the old
-    # cost; only a few rows may need math.fsum
-    counts = {"rows": 0, "fsum": 0}
-    real_sums, real_fsum = inference._row_fsums, math.fsum
-
-    def counting_sums(values, mask):
-        counts["rows"] += math.prod(values.shape[:-1])
-        return real_sums(values, mask)
-
-    def counting_fsum(entries):
-        counts["fsum"] += 1
-        return real_fsum(entries)
-
-    monkeypatch.setattr(inference, "_row_fsums", counting_sums)
-    monkeypatch.setattr(math, "fsum", counting_fsum)
-    spec, rows, options = BLOCKS[cell]
-    simulate._replicate_block(spec, 7, range(rows), **options)
-    assert counts["rows"] >= 6 * rows
-    assert counts["fsum"] < 0.05 * counts["rows"]

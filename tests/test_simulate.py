@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rmtlkit import SimulationError, simulate
+from rmtlkit import SimulationError, inference, simulate
 from rmtlkit.design import DesignInput, sample_size
 from rmtlkit.scenarios import calibrate_censoring, scenario
 from rmtlkit.simulate import (
@@ -295,6 +295,29 @@ def test_block_peak_memory(cell):
     finally:
         tracemalloc.stop()
     assert peak <= 3.2e6
+
+
+@pytest.mark.parametrize("cell", ["C-300-power", "D-511-pilot"])
+def test_few_row_sums_fall_back_to_math_fsum(cell, monkeypatch):
+    # a certificate that never holds would give the same bits at the old
+    # cost; only a few rows may need math.fsum
+    counts = {"rows": 0, "fsum": 0}
+    real_sums, real_fsum = inference._row_fsums, math.fsum
+
+    def counting_sums(values, mask):
+        counts["rows"] += math.prod(values.shape[:-1])
+        return real_sums(values, mask)
+
+    def counting_fsum(entries):
+        counts["fsum"] += 1
+        return real_fsum(entries)
+
+    monkeypatch.setattr(inference, "_row_fsums", counting_sums)
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    spec, rows, options = PEAK_BLOCKS[cell]
+    _replicate_block(spec, 7, range(rows), **options)
+    assert counts["rows"] >= 6 * rows
+    assert counts["fsum"] < 0.05 * counts["rows"]
 
 
 def test_block_rows_follow_the_cell_budget(monkeypatch):
