@@ -9,7 +9,8 @@ and the exit code and message of a run that aborts. The grid:
 * estimation over A-F x 0/15/30% at 40/40 and tau = 1.5;
 * sample size over B-F x 0/45% at 40/40, 100 power replicates;
 * the scenario-A sample-size abort and an estimation abort;
-* ``analyze`` on the CLI test fixtures and on a tie-heavy CSV built here.
+* ``analyze`` on the CLI test fixtures and on a tie-heavy CSV built here;
+* ``samplesize`` from pilot CSVs: the fixtures and tie-heavy pilots.
 
 ``tests/test_golden.py`` compares a fresh run with ``tests/golden/``
 exactly. Regenerate the files only through this script::
@@ -32,7 +33,7 @@ from rmtlkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 7
-SECTIONS = ("power", "estimation", "samplesize", "aborts", "analyze")
+SECTIONS = ("power", "estimation", "samplesize", "aborts", "analyze", "pilots")
 
 
 def tie_heavy_csv(groups=(0, 1), n=1500):
@@ -52,6 +53,12 @@ ANALYZE = {
     "ties": (tie_heavy_csv(), []),
     "ties-tau-30-alpha-0.1": (tie_heavy_csv(), ["--tau", "30", "--alpha", "0.1"]),
     "ties-single": (tie_heavy_csv(groups=(0,)), []),
+}
+# (control pilot, treatment pilot, options); pilots are read without a group column
+PILOTS = {
+    "fixture-vs-ties-tau-4": (FIXTURE, tie_heavy_csv(groups=(1,), n=200), ["--tau", "4"]),
+    "ties-vs-ties-tau-30": (tie_heavy_csv(groups=(0,), n=400), tie_heavy_csv(), ["--tau", "30"]),
+    "single-vs-fixture-tau-3-delta-0.5": (SINGLE, FIXTURE, ["--tau", "3", "--delta", "0.5"]),
 }
 
 
@@ -113,12 +120,25 @@ def _analyze(text, options):
         return {"json": _without_manifest(tmp / "out.json"), "curve_sha256": curves}
 
 
+def _pilots(pilot0, pilot1, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "pilot0.csv").write_text(pilot0)
+        (tmp / "pilot1.csv").write_text(pilot1)
+        code, err = _run(["samplesize", "--pilot0", str(tmp / "pilot0.csv"), "--pilot1",
+                          str(tmp / "pilot1.csv"), "--json", str(tmp / "out.json"), *options])
+        assert code == 0, err
+        return _without_manifest(tmp / "out.json")
+
+
 def build(section):
     """The reports of one section, by case name, as JSON would store them."""
     if section in SIMULATE:
         reports = {name: _simulate(argv) for name, argv in SIMULATE[section].items()}
     elif section == "aborts":
         reports = {name: dict(zip(("exit", "stderr"), _run(argv))) for name, argv in ABORTS.items()}
+    elif section == "pilots":
+        reports = {name: _pilots(*case) for name, case in PILOTS.items()}
     else:
         reports = {name: _analyze(text, options) for name, (text, options) in ANALYZE.items()}
     return json.loads(json.dumps(reports))
