@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ EVENT_COMPETING = 2
 
 GROUP_CONTROL = 0
 GROUP_TREATMENT = 1
+
+# characters per list of lines that the C reader's input is read in
+_CHUNK_CHARS = 1 << 16
 
 
 def _validate_arrays(time, event):
@@ -225,37 +229,122 @@ def _code_parser(codes, what, *allowed):
 
 
 def _parse_csv_rows(source, time_col, event_col, group_col, event_codes=None, group_codes=None):
-    """Validated time, event and group arrays; no ``group_col`` puts all rows in arm 0."""
+    """Validated time, event and group arrays; no ``group_col`` puts all rows in arm 0.
+
+    A file without code maps goes to numpy's C reader first (``_read_clean``).
+    Every file it declines is read again from the start by the row loop
+    (``_read_rows``), which gives the same arrays, or the error with its row
+    number, on any input.
+    """
+    with _open_source(source) as handle:
+        if not (event_codes or group_codes) and handle.seekable():
+            columns = _read_clean(handle, time_col, event_col, group_col)
+            if columns is not None:
+                return columns
+            handle.seek(0)
+        return _read_rows(handle, time_col, event_col, group_col, event_codes, group_codes)
+
+
+def _header_columns(reader, time_col, event_col, group_col):
+    """Indexes of the time, event and group columns (None without ``group_col``)."""
+    # the first line is the header even if blank, and the last duplicated name wins
+    index = {name: i for i, name in enumerate(next(reader, []))}
+    for col in (time_col, event_col, group_col):
+        if col is not None and col not in index:
+            raise SchemaError(col)
+    return index[time_col], index[event_col], None if group_col is None else index[group_col]
+
+
+def _read_rows(handle, time_col, event_col, group_col, event_codes, group_codes):
+    """The row loop: every cell through ``float`` and the code parsers."""
     event_code = _code_parser(event_codes, "event", EVENT_CENSORED, EVENT_INTEREST, EVENT_COMPETING)
     group_code = _code_parser(group_codes, "group", GROUP_CONTROL, GROUP_TREATMENT)
     times, events, groups = [], [], []
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        # the first line is the header even if blank, the last duplicated name wins,
-        # blank lines are skipped uncounted, and a short row's missing cells read ''
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        for col in (time_col, event_col, group_col):
-            if col is not None and col not in index:
-                raise SchemaError(col)
-        ti, ei = index[time_col], index[event_col]
-        gi = None if group_col is None else index[group_col]
-        width = max(ti, ei, gi or 0) + 1
-        for rownum, row in enumerate(filter(None, reader), start=1):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            raw_time = row[ti].strip()
-            try:
-                t = float(raw_time)
-            except ValueError:
-                raise RowError(rownum, f"non-numeric time {raw_time!r}") from None
-            if not math.isfinite(t):
-                raise RowError(rownum, f"non-finite time {raw_time!r}")
-            if t < 0:
-                raise RowError(rownum, f"negative time {raw_time!r}")
-            times.append(t)
-            events.append(event_code(row[ei].strip(), rownum))
-            groups.append(GROUP_CONTROL if gi is None else group_code(row[gi].strip(), rownum))
+    reader = csv.reader(handle)
+    ti, ei, gi = _header_columns(reader, time_col, event_col, group_col)
+    width = max(ti, ei, gi or 0) + 1
+    # blank lines are skipped uncounted, and a short row's missing cells read ''
+    for rownum, row in enumerate(filter(None, reader), start=1):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        raw_time = row[ti].strip()
+        try:
+            t = float(raw_time)
+        except ValueError:
+            raise RowError(rownum, f"non-numeric time {raw_time!r}") from None
+        if not math.isfinite(t):
+            raise RowError(rownum, f"non-finite time {raw_time!r}")
+        if t < 0:
+            raise RowError(rownum, f"negative time {raw_time!r}")
+        times.append(t)
+        events.append(event_code(row[ei].strip(), rownum))
+        groups.append(GROUP_CONTROL if gi is None else group_code(row[gi].strip(), rownum))
     return np.array(times), np.array(events, dtype=np.int64), np.array(groups, dtype=np.int64)
+
+
+class _Decline(Exception):
+    """The C reader leaves this file to the row loop."""
+
+
+def _read_clean(handle, time_col, event_col, group_col):
+    """The columns of a clean file by ``np.loadtxt``, or None to leave the
+    file to the row loop: on a reader error, a cell the loop would refuse, a
+    body without data rows, or text where the two readers could part ways.
+
+    The header goes through ``csv.reader`` as in the loop, and its errors are
+    the loop's. Both readers take their lines from the handle, so a CR ends a
+    line in a file and is refused inside a line of a text stream. The C reader
+    takes the same quoting and reads a cell as ``float`` does, but it knows
+    neither ``_`` in numbers nor ``csv``'s field size limit, which
+    ``_body_lines`` enforces.
+    """
+    ti, ei, gi = _header_columns(csv.reader(handle), time_col, event_col, group_col)
+    lines = itertools.chain.from_iterable(_body_lines(handle, csv.field_size_limit()))
+    try:
+        for first in lines:
+            if first.strip("\r\n"):
+                break
+        else:
+            return None  # no data row (np.loadtxt would warn)
+        usecols = (ti, ei) if gi is None else (ti, ei, gi)
+        table = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None,
+                           quotechar='"', usecols=usecols, ndmin=2)
+    except Exception:  # a decline, not an error: the loop reports it
+        return None
+    time = table[:, 0].copy()
+    if not (time.min() >= 0 and time.max() < math.inf):  # NaN fails both
+        return None
+    event = _clean_codes(table[:, 1], EVENT_COMPETING)
+    if gi is None:
+        group = np.zeros(len(table), dtype=np.int64)
+    else:
+        group = _clean_codes(table[:, 2], GROUP_TREATMENT)
+    if event is None or group is None:
+        return None
+    return time, event, group
+
+
+def _body_lines(handle, limit):
+    """The rest of ``handle`` as lists of lines. Raises :class:`_Decline` where
+    a field could exceed ``csv``'s ``limit``: on a longer line, or when a quote
+    (a quoted field may span lines) is in a body longer than ``limit``."""
+    read, quoted = 0, False
+    for lines in iter(lambda: handle.readlines(_CHUNK_CHARS), []):
+        chunk = "".join(lines)
+        read += len(chunk)
+        quoted = quoted or '"' in chunk
+        too_long = len(chunk) > limit and max(map(len, lines)) > limit
+        if too_long or (quoted and read > limit):
+            raise _Decline
+        yield lines
+
+
+def _clean_codes(column, top):
+    """``column`` as int64 codes when every cell is an integer in 0..``top``, else None."""
+    if not (column.min() >= 0 and column.max() <= top):
+        return None
+    codes = column.astype(np.int64)
+    return codes if np.array_equal(codes, column) else None
 
 
 def _samples_from_columns(time, event, group, allow_single: bool):
