@@ -173,13 +173,18 @@ def test_analyze_directory_exit_2(tmp_path, capsys):
 
 
 def test_analyze_oversized_field_exit_2(tmp_path, capsys):
-    # one quoted time cell longer than the csv module's field limit
+    # one cell longer than the csv module's field limit: a quoted time, then
+    # a cell of a column that analyze does not read
     path = tmp_path / "huge.csv"
-    path.write_text('time,event,group\n"' + "1" * 131_073 + '",1,0\n1,1,1\n')
-    assert main(["analyze", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "field larger than field limit" in err
-    assert err.count("\n") == 1
+    for text in (
+        'time,event,group\n"' + "1" * 131_073 + '",1,0\n1,1,1\n',
+        "time,event,group,note\n1,1,0,x\n2,0,0," + "x" * 131_073 + "\n1,1,1,x\n2,2,1,x\n",
+    ):
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "field larger than field limit" in err
+        assert err.count("\n") == 1
 
 
 def test_analyze_header_only_exit_2(tmp_path, capsys):
