@@ -12,7 +12,6 @@ declines what the loop refuses, with the loop's error.
 
 import csv
 import decimal
-import io
 import math
 import os
 import random
@@ -106,12 +105,10 @@ def make_clean_case(rng):
         "note": lambda: rng.choice(['"a,b"', '"say ""x"""', "", "x y", '"2\n3"']),
         "site": lambda: rng.choice(["1_0", "nan", "-1", "abc"]),
     }
-    args = (time_col, event_col, group_col or "group", None, None)
+    read = {time_col, event_col, group_col or "group"}  # padded and quoted at random
     lines = [",".join(header)]
     for _ in range(rows):
-        cells = [
-            _cell(rng, values[name]()) if name in args[:3] else values[name]() for name in header
-        ]
+        cells = [_cell(rng, values[name]()) if name in read else values[name]() for name in header]
         if rng.random() < 0.1:
             cells.append(rng.choice(["", "extra", "9"]))
         lines.append(",".join(cells))
