@@ -195,11 +195,12 @@ def select_tau(sample0: GroupSample, sample1: GroupSample) -> float:
 
 
 def _open_source(source):
-    """A text handle on a path, on bytes, or on what a file-like object reads."""
+    """A text handle on a path, on bytes, or on what a file-like object
+    reads, past a leading byte-order mark."""
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8-sig", newline="")
     raw = source if isinstance(source, bytes) else source.read()
-    return io.StringIO(raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw)
+    return io.StringIO((raw.decode() if isinstance(raw, bytes) else raw).removeprefix("\ufeff"))
 
 
 def _code_parser(codes, what, *allowed):

@@ -40,7 +40,6 @@ __all__ = [
     "generate_group",
     "calibrate_censoring",
     "true_rmtld",
-    "sdh_delta",
 ]
 
 SCENARIO_IDS = ("A", "B", "C", "D", "E", "F")

@@ -38,11 +38,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import DesignInput, DesignResult, sample_size
+from .design import DesignInput, sample_size
 from .errors import InfeasibleDesignError, InputError, SimulationError
 from .inference import _rmtld_rows
 from .scenarios import ScenarioSpec, _draw_rows, calibrate_censoring, true_rmtld
@@ -92,15 +92,13 @@ _FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "p",
 class SimulationReport:
     """Aggregated study output plus everything needed to reproduce it.
 
-    ``n0``/``n1`` are the sizes the replicates were drawn at: the
-    scenario's for estimation and power, the designed ones for a
+    ``spec`` holds the arm sizes the replicates were drawn at: the
+    input's for estimation and power, the designed ones for a
     sample-size validation.
     """
 
     mode: str
     spec: ScenarioSpec
-    n0: int
-    n1: int
     reps: int
     seed: int
     metrics: dict = field(default_factory=dict)
@@ -126,8 +124,8 @@ class SimulationReport:
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
             "scenario": self.spec.id,
-            "n0": self.n0,
-            "n1": self.n1,
+            "n0": self.spec.n0,
+            "n1": self.spec.n1,
             "censoring_percent": self.spec.censor_target,
             "reps": self.reps,
             "seed": self.seed,
@@ -142,8 +140,9 @@ class SimulationReport:
 
     def csv_rows(self) -> list[tuple]:
         """One row per metric, matching the report-table layout."""
+        spec = self.spec
         return [
-            (self.spec.id, self.n0, self.n1, self.spec.censor_target, name, e["value"], e["mc_se"])
+            (spec.id, spec.n0, spec.n1, spec.censor_target, name, e["value"], e["mc_se"])
             for name, e in self.metrics.items()
         ]
 
@@ -169,18 +168,16 @@ def _replicate_block(
     seed: int,
     indices,
     phase: int = _PHASE_MAIN,
-    n0: int | None = None,
-    n1: int | None = None,
     fixed_tau: float | None = None,
-    gray: bool = True,
 ) -> dict:
     """Replicates for the substream indices in ``indices``, one row each.
 
-    Row ``r`` draws ``n0``/``n1`` subjects (default: the scenario's
-    sizes) from substream ``(phase, indices[r])`` of ``seed`` and tests
-    the RMTL difference at ``fixed_tau`` or, without one, at the
-    min-max restriction time, plus Gray's test when ``gray`` is set.
-    Returns one array per name in ``_FIELDS`` plus the ``unusable``
+    Row ``r`` draws ``spec.n0``/``spec.n1`` subjects from substream
+    ``(phase, indices[r])`` of ``seed`` and tests the RMTL difference at
+    ``fixed_tau`` or, without one, at the min-max restriction time.
+    Gray's test runs only where a study reads it: at the min-max
+    restriction time outside the pilot phase; elsewhere ``gray_p`` is
+    NaN. Returns one array per name in ``_FIELDS`` plus the ``unusable``
     mask, which flags rows whose follow-up ends before ``fixed_tau``.
     The test is ``_rmtld_rows``, the kernel ``rmtld_test`` runs on one
     row, so each value equals what ``rmtld_test`` and ``gray_test`` give
@@ -189,8 +186,8 @@ def _replicate_block(
     only code that computes replicates; ``_map_replicates`` feeds it
     blocks in this process or on the one pool of the study call.
     """
-    n0 = spec.n0 if n0 is None else n0
-    n1 = spec.n1 if n1 is None else n1
+    n0, n1 = spec.n0, spec.n1
+    gray = fixed_tau is None and phase != _PHASE_PILOT
     rows = len(indices)
     bounds = _bounds_for(spec)
     t = np.empty((rows, n0 + n1))
@@ -214,23 +211,22 @@ def _replicate_block(
 def _chunk_worker(args):
     """One pool job of ``_map_replicates``; ``bench/tracing.py`` swaps
     it by name to collect the spans of pool workers."""
-    spec, seed, indices, options = args
-    return _replicate_block(spec, seed, indices, **options)
+    return _replicate_block(*args)
 
 
-def _map_replicates(spec, seed, reps, options, pool) -> dict:
-    """Replicates ``0 .. reps-1`` in blocks of at most ``_BLOCK_ROWS``
-    rows and ``_BLOCK_CELLS`` subjects, run by ``pool`` or, when it is
-    None, in this process; rows in index order."""
-    cells = options.get("n0", spec.n0) + options.get("n1", spec.n1)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cells))
+def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -> dict:
+    """Replicates ``0 .. reps-1`` of ``phase`` in blocks of at most
+    ``_BLOCK_ROWS`` rows and ``_BLOCK_CELLS`` subjects, run by ``pool``
+    or, when it is None, in this process; rows in index order."""
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (spec.n0 + spec.n1)))
     if pool is not None:
         rows = min(rows, -(-reps // _POOL_JOBS))
     blocks = [range(k, min(k + rows, reps)) for k in range(0, reps, rows)]
+    jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
     if pool is None:
-        parts = [_replicate_block(spec, seed, block, **options) for block in blocks]
+        parts = [_replicate_block(*job) for job in jobs]
     else:
-        parts = list(pool.map(_chunk_worker, [(spec, seed, block, options) for block in blocks]))
+        parts = list(pool.map(_chunk_worker, jobs))
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -269,10 +265,10 @@ def run_estimation_study(
         raise InputError(f"fixed_tau must be positive and finite (got {fixed_tau})")
     truth = true_rmtld(spec, tau=fixed_tau)
     with _pool(spec, workers) as pool:
-        records = _map_replicates(spec, seed, reps, {"fixed_tau": fixed_tau, "gray": False}, pool)
+        records = _map_replicates(spec, seed, reps, pool, fixed_tau=fixed_tau)
     usable = ~records["unusable"]
     report = SimulationReport(
-        "estimation", spec, spec.n0, spec.n1, reps, seed,
+        "estimation", spec, reps, seed,
         unusable=int(np.count_nonzero(records["unusable"])),
         fixed_tau=fixed_tau,
         extra={"true_delta": truth},
@@ -324,8 +320,8 @@ def run_power_study(
     if reps < 100:
         raise InputError("reps must be at least 100")
     with _pool(spec, workers) as pool:
-        records = _map_replicates(spec, seed, reps, {}, pool)
-    report = SimulationReport("power", spec, spec.n0, spec.n1, reps, seed)
+        records = _map_replicates(spec, seed, reps, pool)
+    report = SimulationReport("power", spec, reps, seed)
     report.add_rate("rejection_rmtld", records["p"] < ALPHA)
     report.add_rate("rejection_gray", records["gray_p"] < ALPHA)
     taus = records["tau"]
@@ -352,15 +348,14 @@ def run_samplesize_validation(
     """
     if power_reps < 100:
         raise InputError("reps must be at least 100")
-    design = DesignResult(spec.n0, spec.n1)
+    sized = spec
     with _pool(spec, workers) as pool:
         for _ in range(REFINEMENTS + 1):
-            options = {"phase": _PHASE_PILOT, "n0": design.n0, "n1": design.n1, "gray": False}
-            pilot = _map_replicates(spec, seed, PILOT_REPS, options, pool)
+            pilot = _map_replicates(sized, seed, PILOT_REPS, pool, phase=_PHASE_PILOT)
             inputs = DesignInput(
                 delta=float(np.mean(pilot["delta"])),
-                sigma0_sq=float(np.mean(design.n0 * pilot["var0"])),
-                sigma1_sq=float(np.mean(design.n1 * pilot["var1"])),
+                sigma0_sq=float(np.mean(sized.n0 * pilot["var0"])),
+                sigma1_sq=float(np.mean(sized.n1 * pilot["var1"])),
                 ratio=spec.n1 / spec.n0,
                 alpha=ALPHA,
                 power=TARGET_POWER,
@@ -372,12 +367,12 @@ def run_samplesize_validation(
                     f"designed n0={design.n0}, n1={design.n1} exceed the cap of {MAX_ARM} "
                     f"subjects per arm (pilot delta {inputs.delta:.4g}, MC SE {se:.2g})"
                 )
+            sized = replace(spec, n0=design.n0, n1=design.n1)
 
-        options = {"phase": _PHASE_POWER, "n0": design.n0, "n1": design.n1}
-        records = _map_replicates(spec, seed, power_reps, options, pool)
+        records = _map_replicates(sized, seed, power_reps, pool, phase=_PHASE_POWER)
 
     report = SimulationReport(
-        "samplesize", spec, design.n0, design.n1, power_reps, seed,
+        "samplesize", sized, power_reps, seed,
         extra={
             "pilot_reps": PILOT_REPS,
             "pilot_delta": inputs.delta,

@@ -7,7 +7,10 @@ rows as ``{group: [(time, event), ...]}`` in file order. The parser in
 with the same message and row number, on every input, except for code
 cells that are fractional or infinite: this form truncates the first
 and raises ``OverflowError`` on the second, where the new parser raises
-``RowError``.
+``RowError``. Nor does this form skip the byte-order mark at the start
+of a text stream (only bytes and paths decode as ``utf-8-sig``), where
+the parser skips it for every source: a text stream with a BOM is
+checked against this form run on the file's UTF-8 bytes.
 """
 
 import csv

@@ -4,6 +4,8 @@ Both run the same row kernels, on a block of replicates or on one, so
 every row, tied or not, must equal the one-sample results exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,20 +16,23 @@ from rmtlkit.simulate import _FIELDS, _map_replicates, _replicate_block
 REPS = 200
 SEED = 4242
 
-# one options dict per study mode, as the study functions pass them
+# per study mode, the arm sizes (None: the scenario's) and the keyword
+# arguments the study functions pass
 MODES = {
-    "power": {},
-    "estimation": {"fixed_tau": 4.0, "gray": False},
-    "pilot": {"phase": 1, "n0": 17, "n1": 29, "gray": False},
+    "power": (None, {}),
+    "estimation": (None, {"fixed_tau": 4.0}),
+    "pilot": ((17, 29), {"phase": simulate._PHASE_PILOT}),
 }
 
 
-def scalar_replicate(spec, i, phase=0, n0=None, n1=None, fixed_tau=None, gray=True):
+def scalar_replicate(spec, i, phase=0, fixed_tau=None):
     """Replicate ``i`` through the public one-sample functions: None when
-    the follow-up ends before ``fixed_tau``, else ``(rmtld, gray)``."""
+    the follow-up ends before ``fixed_tau``, else ``(rmtld, gray)``, with
+    Gray's test where a block runs it (min-max tau, not the pilot)."""
     rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(phase, i)))
-    s0 = generate_group(spec, 0, spec.n0 if n0 is None else n0, rng)
-    s1 = generate_group(spec, 1, spec.n1 if n1 is None else n1, rng)
+    s0 = generate_group(spec, 0, spec.n0, rng)
+    s1 = generate_group(spec, 1, spec.n1, rng)
+    gray = fixed_tau is None and phase != simulate._PHASE_PILOT
     tau = select_tau(s0, s1)
     if fixed_tau is not None:
         if tau < fixed_tau:
@@ -64,9 +69,10 @@ def assert_rows_equal(got, want):
 def test_block_matches_scalar(sid):
     for cr in CENSOR_TARGETS:
         spec = scenario(sid, 20, 24, cr)
-        for mode, options in MODES.items():
-            got = _map_replicates(spec, SEED, REPS, options, pool=None)
-            want = scalar_rows(spec, range(REPS), options)
+        for mode, (sizes, options) in MODES.items():
+            cell = spec if sizes is None else replace(spec, n0=sizes[0], n1=sizes[1])
+            got = _map_replicates(cell, SEED, REPS, None, **options)
+            want = scalar_rows(cell, range(REPS), options)
             assert_rows_equal(got, want)
             assert np.array_equal(got["p"] < 0.05, want["p"] < 0.05)
             if mode == "power":
@@ -78,14 +84,13 @@ def test_block_matches_scalar(sid):
 
 def test_block_size_invariance(monkeypatch):
     spec = scenario("E", 40, 30, 15)
-    options = {}
     runs = []
     for rows in (1, 7, 32, 75):
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows)
-        runs.append(_map_replicates(spec, SEED, 75, options, pool=None))
+        runs.append(_map_replicates(spec, SEED, 75, None))
     # another composition: scattered indices in one block
     shuffled = np.random.default_rng(0).permutation(75)
-    block = _replicate_block(spec, SEED, shuffled.tolist(), **options)
+    block = _replicate_block(spec, SEED, shuffled.tolist())
     runs.append({name: values[np.argsort(shuffled)] for name, values in block.items()})
     for other in runs[1:]:
         for name in runs[0]:
@@ -112,18 +117,33 @@ def test_tied_rows_match_the_scalar_path(monkeypatch, decimals):
     tied = sum(has_tie(i) for i in range(60))
     # to 3 decimals some rows tie and some do not; to 0 decimals all do
     assert 0 < tied < 60 if decimals == 3 else tied == 60
-    got = _map_replicates(spec, SEED, 60, {}, pool=None)
+    got = _map_replicates(spec, SEED, 60, None)
     assert_rows_equal(got, scalar_rows(spec, range(60), {}))
+
+
+def test_gray_runs_at_the_min_max_tau_outside_the_pilot():
+    # studies read Gray's test from main- and power-phase blocks only;
+    # pilot and fixed-tau blocks skip it and leave gray_p NaN
+    spec = scenario("C", 30, 30, 15)
+    for phase in (simulate._PHASE_MAIN, simulate._PHASE_PILOT, simulate._PHASE_POWER):
+        for fixed_tau in (None, 1.0):
+            block = _replicate_block(spec, SEED, range(8), phase, fixed_tau)
+            assert not block["unusable"].any() and np.isfinite(block["p"]).all()
+            skipped = fixed_tau is not None or phase == simulate._PHASE_PILOT
+            assert np.isnan(block["gray_p"]).all() == skipped
+            assert np.isfinite(block["gray_p"]).all() != skipped
 
 
 @pytest.mark.parametrize("gray", [True, False])
 def test_degenerate_row_raises_the_scalar_error(gray):
     # p1 -> 0: no cause-1 event in either arm, so the test is undefined
     spec = scenario("A", 6, 6, 0, p1=1e-12)
+    # Gray's test runs outside the pilot phase only
+    phase = simulate._PHASE_MAIN if gray else simulate._PHASE_PILOT
     with pytest.raises(DegenerateTestError) as scalar:
-        scalar_replicate(spec, 3, gray=gray)
+        scalar_replicate(spec, 3, phase=phase)
     with pytest.raises(DegenerateTestError) as block:
-        _replicate_block(spec, SEED, [1, 3], gray=gray)
+        _replicate_block(spec, SEED, [1, 3], phase=phase)
     assert str(block.value) == str(scalar.value)
 
 

@@ -12,6 +12,7 @@ declines what the loop refuses, with the loop's error.
 
 import csv
 import decimal
+import io
 import math
 import os
 import random
@@ -118,7 +119,8 @@ def make_clean_case(rng):
     endings = ["\n", "\r\n"] + (["\r"] if kind in ("path", "pathlib") else [])
     ending = rng.choice(endings)
     text = ending.join(lines) + (ending if rng.random() < 0.8 else "")
-    if kind != "text-io" and rng.random() < 0.2:  # a text stream keeps its BOM
+    # a text stream with a BOM has its own test (test_bom_in_a_text_stream_*)
+    if kind != "text-io" and rng.random() < 0.2:
         text = "\ufeff" + text
     return text, (time_col, event_col, group_col, None, None), kind, rows
 
@@ -199,6 +201,22 @@ def test_quoted_field_over_the_limit_across_lines(clean_reads):
     with pytest.raises(csv.Error, match="field larger than field limit"):
         ingest_csv(text.encode())
     assert clean_reads == [False]
+
+
+@pytest.mark.parametrize("codes", [None, {"c": 0, "i": 1, "k": 2}])
+def test_bom_in_a_text_stream_is_skipped_by_both_readers(codes, clean_reads):
+    # without code maps the C reader reads the file, with them the row loop
+    events = ["c", "c", "i", "k"] if codes else ["0", "0", "1", "2"]
+    rows = zip(["1", "2.5", "3", "4"], events, ["0", "0", "1", "1"])
+    text = "\ufefftime,event,group\n" + "".join(",".join(row) + "\n" for row in rows)
+    got = ingest_csv(io.StringIO(text), event_codes=codes)
+    want = ingest_csv(text.encode("utf-8"), event_codes=codes)
+    for arm in ("control", "treatment"):
+        for name in ("time", "event"):
+            g, w = getattr(getattr(got, arm), name), getattr(getattr(want, arm), name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (arm, name)
+    assert got.treatment.event.tolist() == [1, 2]
+    assert clean_reads == ([] if codes else [True, True])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

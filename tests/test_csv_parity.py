@@ -6,7 +6,9 @@ and row number.
 The oracle truncates a fractional code cell (an event of 1.7 reads as 1)
 and raises ``OverflowError`` on an infinite one. There the parser raises
 ``RowError`` instead, so the oracle runs with a strict ``int`` that raises
-the ``RowError`` the parser must give at that cell.
+the ``RowError`` the parser must give at that cell. The oracle also keeps
+the BOM of a text stream, which the parser skips, so for a text stream
+with a BOM it reads the file's bytes instead.
 """
 
 import io
@@ -126,7 +128,8 @@ def _sources(text, kind, path):
     if kind == "bytes-io":
         return io.BytesIO(data), io.BytesIO(data)
     if kind == "text-io":
-        return io.StringIO(text), io.StringIO(text)
+        oracle = data if text.startswith("\ufeff") else io.StringIO(text)
+        return oracle, io.StringIO(text)
     path.write_bytes(data)
     return str(path), (path if kind == "pathlib" else str(path))
 

@@ -1,6 +1,7 @@
 """The traced benchmark patches rmtlkit functions by module and name,
 and the package exports a fixed public list: both must keep resolving,
-and a submodule's ``__all__`` names only what it defines. A traced
+and a submodule's ``__all__`` names only what it defines and the
+package exports. A traced
 study must still count its pool and collect the spans of its pool
 workers. The simulation engine's signatures are pinned too, as are the
 functions and result fields the benchmark uses."""
@@ -34,16 +35,42 @@ def test_bench_trace_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(f"rmtlkit.{module}"), attr))
 
 
+PUBLIC_NAMES = [
+    "CalibrationError", "CifPair", "DegeneratePilotError", "DegenerateTestError",
+    "DesignInput", "DesignResult", "EVENT_CENSORED", "EVENT_COMPETING", "EVENT_INTEREST",
+    "EventTable", "ExtrapolationError", "GROUP_CONTROL", "GROUP_TREATMENT", "GrayResult",
+    "GroupSample", "InfeasibleDesignError", "InputError", "RmtlEstimate", "RmtldResult",
+    "RowError", "SampleSizeError", "ScenarioSpec", "SchemaError", "SimulationError",
+    "SimulationReport", "TwoGroupSample", "build_event_table", "calibrate_censoring",
+    "cif_pair", "curve_rows", "estimate_sigma_sq", "generate_group", "gray_test",
+    "ingest_csv", "integrate_step", "power_at", "rmtl", "rmtld_test",
+    "run_estimation_study", "run_power_study", "run_samplesize_validation", "sample_size",
+    "scenario", "select_tau", "true_rmtld", "variance_rmtl",
+]
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(rmtlkit.__path__))
+
+
+def test_public_names_are_pinned():
+    # a name leaves or joins the public API only by editing this list
+    assert sorted(rmtlkit.__all__) == PUBLIC_NAMES
+
+
 def test_public_names_resolve():
     assert [name for name in rmtlkit.__all__ if not hasattr(rmtlkit, name)] == []
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(rmtlkit.__path__)))
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_submodule_all_holds_no_reexports(module):
     # a submodule lists only what it defines; the package __all__ gathers them
     mod = importlib.import_module(f"rmtlkit.{module}")
     names = getattr(mod, "__all__", [])
     assert [name for name in names if getattr(mod, name).__module__ != mod.__name__] == []
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_all_is_exported_by_the_package(module):
+    names = getattr(importlib.import_module(f"rmtlkit.{module}"), "__all__", [])
+    assert [name for name in names if name not in rmtlkit.__all__] == []
 
 
 # The simulation design is fixed, so these take no study constants

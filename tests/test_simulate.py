@@ -206,7 +206,7 @@ def test_samplesize_validation_runs():
     assert rep.metrics["total_n"]["value"] >= 4
     assert 0.0 <= rep.metrics["power_rmtld"]["value"] <= 1.0
     assert rep.extra["pilot_delta"] < 0
-    assert rep.n0 == rep.n1  # ratio 1 preserved
+    assert rep.spec.n0 == rep.spec.n1  # ratio 1 preserved
 
 
 def test_report_json_roundtrip():
@@ -260,7 +260,7 @@ def test_error_shrinks_with_sample_size():
             from rmtlkit import true_rmtld
 
             truth = true_rmtld(spec)
-        rows = _map_replicates(spec, 55, 150, {"fixed_tau": 4.0, "gray": False}, pool=None)
+        rows = _map_replicates(spec, 55, 150, None, fixed_tau=4.0)
         means.append(np.mean(np.abs(rows["delta"][~rows["unusable"]] - truth)))
     assert means[0] > means[1] > means[2]
 
@@ -270,13 +270,8 @@ def test_error_shrinks_with_sample_size():
 # 25-row pilot blocks without Gray and 13-row power blocks with Gray
 PEAK_BLOCKS = {
     "C-300-power": (scenario("C", 300, 300, 30), 32, {}),
-    "D-511-pilot": (
-        scenario("D", 300, 300, 15), 25,
-        {"phase": simulate._PHASE_PILOT, "n0": 511, "n1": 511, "gray": False},
-    ),
-    "D-511-power": (
-        scenario("D", 300, 300, 15), 13, {"phase": simulate._PHASE_POWER, "n0": 511, "n1": 511}
-    ),
+    "D-511-pilot": (scenario("D", 511, 511, 15), 25, {"phase": simulate._PHASE_PILOT}),
+    "D-511-power": (scenario("D", 511, 511, 15), 13, {"phase": simulate._PHASE_POWER}),
 }
 
 
@@ -325,14 +320,13 @@ def test_block_rows_follow_the_cell_budget(monkeypatch):
     # keep 32-row blocks. The blocks are recorded, not drawn.
     blocks = []
 
-    def record(spec, seed, indices, **options):
+    def record(spec, seed, indices, phase, fixed_tau):
         blocks.append(len(indices))
         return {"delta": np.zeros(len(indices))}
 
     monkeypatch.setattr(simulate, "_replicate_block", record)
-    spec = scenario("D", 300, 300, 15)
     for n, rows in ((50_000, [1, 1, 1]), (1_576, [32, 8]), (300, [32, 8])):
         blocks.clear()
         reps = sum(rows)
-        out = _map_replicates(spec, 0, reps, {"phase": 2, "n0": n, "n1": n}, None)
+        out = _map_replicates(scenario("D", n, n, 15), 0, reps, None, phase=2)
         assert blocks == rows and out["delta"].size == reps
