@@ -9,10 +9,11 @@ Three subcommands:
 * ``simulate``    - run one simulation-study cell and write its report.
 
 Exit codes: 0 success, 1 an internal error (with its traceback),
-2 invalid input or an unreadable input file, 3 statistical degeneracy
-or an infeasible design (a simulated design above the arm-size cap
-included), 4 censoring-calibration failure. Human-readable output and
-JSON carry the same numbers; JSON keeps full precision.
+2 invalid input, an unreadable input file or an unwritable output
+path, 3 statistical degeneracy or an infeasible design (a simulated
+design above the arm-size cap included), 4 censoring-calibration
+failure. Human-readable output and JSON carry the same numbers; JSON
+keeps full precision.
 """
 
 from __future__ import annotations
@@ -103,14 +104,19 @@ def _curve_path(base: Path, group: int) -> Path:
 
 
 def _write_curves(base, samples):
+    """Write one curve file per sample and return their paths: the header
+    ``time,survival,cif1,cif2``, then ``curve_rows``, each line ended by
+    CR LF and each value its ``repr`` (the shortest round-trip form, so
+    the file re-reads to the same floats). These are ``csv.writer``'s
+    bytes for these rows, rendered in one pass and written at once."""
     base = Path(base)
     written = []
     for sample in samples:
         path = _curve_path(base, sample.group)
+        rows = curve_rows(cif_pair(sample))
+        text = "time,survival,cif1,cif2\r\n" + "".join(map("%r,%r,%r,%r\r\n".__mod__, rows))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "survival", "cif1", "cif2"])
-            writer.writerows(curve_rows(cif_pair(sample)))
+            fh.write(text)
         written.append(path)
     return written
 
@@ -345,7 +351,8 @@ def main(argv=None) -> int:
     except (DegenerateTestError, ExtrapolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, csv.Error) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CalibrationError, SimulationError) as exc:

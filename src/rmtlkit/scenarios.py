@@ -158,34 +158,6 @@ def piecewise_cdf(pieces: tuple[WeibullPiece, ...], t) -> np.ndarray:
     return 1.0 - np.exp(-_cum_hazard(pieces, np.asarray(t, dtype=float)))
 
 
-def sdh_cause1_cif(p1: float, theta: float, t) -> np.ndarray:
-    """Treatment-arm cause-1 cumulative incidence of the proportional
-    subdistribution hazards family."""
-    t = np.asarray(t, dtype=float)
-    return 1.0 - (1.0 - p1 * (1.0 - np.exp(-t))) ** math.exp(theta)
-
-
-def sdh_cause2_cif(p1: float, theta: float, t) -> np.ndarray:
-    """Treatment-arm cause-2 cumulative incidence of the same family."""
-    t = np.asarray(t, dtype=float)
-    rate = math.exp(theta)
-    return (1.0 - p1) ** rate * (1.0 - np.exp(-t * rate))
-
-
-def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
-    """True RMTL difference of the proportional-SDH family at ``tau``,
-    by exact quadrature."""
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda t: sdh_cause1_cif(p1, theta, t) - p1 * (1.0 - np.exp(-t)),
-        0.0,
-        tau,
-        limit=200,
-    )
-    return float(val)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

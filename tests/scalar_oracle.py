@@ -7,11 +7,18 @@ martingale variance of the RMTL (left survival weight), and Gray's test
 built from a reverse Kaplan-Meier of the censoring distribution. The
 kernels must reproduce them bit for bit, ties included. ``curves_at``
 evaluates the curves of a ``CifPair`` at any time.
+
+It also holds the closed forms of the proportional subdistribution
+hazards family behind scenarios B and C: the treatment arm's cause-1 and
+cause-2 cumulative incidences (``sdh_cause1_cif``, ``sdh_cause2_cif``)
+and the true RMTL difference at ``tau`` by quadrature (``sdh_delta``),
+which re-derives the package's ``THETA_B`` and ``THETA_C``.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from rmtlkit import DegenerateTestError, EventTable, GrayResult, GroupSample
@@ -225,3 +232,29 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
         raise DegenerateTestError("degenerate Gray test: zero variance")
     stat = z * z / var
     return GrayResult(statistic=stat, p=float(chdtrc(1, stat)), cause=cause)
+
+
+def sdh_cause1_cif(p1: float, theta: float, t) -> np.ndarray:
+    """Treatment-arm cause-1 cumulative incidence of the proportional
+    subdistribution hazards family."""
+    t = np.asarray(t, dtype=float)
+    return 1.0 - (1.0 - p1 * (1.0 - np.exp(-t))) ** math.exp(theta)
+
+
+def sdh_cause2_cif(p1: float, theta: float, t) -> np.ndarray:
+    """Treatment-arm cause-2 cumulative incidence of the same family."""
+    t = np.asarray(t, dtype=float)
+    rate = math.exp(theta)
+    return (1.0 - p1) ** rate * (1.0 - np.exp(-t * rate))
+
+
+def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
+    """True RMTL difference of the proportional-SDH family at ``tau``,
+    by exact quadrature."""
+    val, _ = quad(
+        lambda t: sdh_cause1_cif(p1, theta, t) - p1 * (1.0 - np.exp(-t)),
+        0.0,
+        tau,
+        limit=200,
+    )
+    return float(val)

@@ -12,7 +12,7 @@ import pytest
 import rmtlkit
 from rmtlkit import estimators
 from rmtlkit.cli import main
-from rmtlkit.data import ingest_csv
+from rmtlkit.data import GroupSample, ingest_csv, ingest_single_group_csv
 from rmtlkit.scenarios import scenario, generate_group
 
 FIXTURE = "time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
@@ -93,22 +93,81 @@ def test_analyze_curves_builds_each_arm_once(fixture_csv, tmp_path, monkeypatch,
         assert written == expected.getvalue().encode()
 
 
-def test_cli_import_skips_stats_optimize_integrate(tmp_path):
-    # neither the import nor censored simulate studies, which calibrate
-    # censoring, load these modules
+def _rows_text(*rows):
+    return "time,event,group\n" + "".join(f"{t},{e},{g}\n" for t, e, g in rows)
+
+
+def _tie_heavy_rows():
+    # 300 subjects per arm on six integer times
+    rng = np.random.default_rng(17)
+    times = rng.integers(1, 7, size=(2, 300))
+    events = rng.integers(0, 3, size=(2, 300))
+    return [(int(t), int(e), g) for g in (0, 1) for t, e in zip(times[g], events[g])]
+
+
+CURVE_CASES = {
+    "single-group": SINGLE,
+    # arm 0 has no events: its file is the header and the t=0 row
+    "no-events-arm": _rows_text((1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 1, 1), (2, 2, 1), (3, 1, 1)),
+    "tie-heavy": _rows_text(*_tie_heavy_rows()),
+    "exponent-times": _rows_text(
+        ("1e-05", 1, 0), ("2e-05", 2, 0), ("1e+16", 0, 0),
+        ("1e-05", 1, 1), ("3", 1, 1), ("1e16", 2, 1),
+    ),
+    # one event among 20,000: incidence 5e-05
+    "tiny-incidence": _rows_text(
+        (1, 1, 0), *[(2, 0, 0)] * 19_999, (1, 1, 1), (2, 2, 1), (3, 0, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_curve_file_bytes(tmp_path, capsys, case):
+    # every file is exactly csv.writer's rendering of curve_rows(cif_pair(sample))
+    path = tmp_path / "in.csv"
+    path.write_text(CURVE_CASES[case])
+    assert main(["analyze", str(path), "--curves", str(tmp_path / "c.csv")]) == 0
+    data = ingest_single_group_csv(str(path), group_col="group")
+    samples = [data] if isinstance(data, GroupSample) else [data.control, data.treatment]
+    written = {}
+    for sample in samples:
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["time", "survival", "cif1", "cif2"])
+        writer.writerows(estimators.curve_rows(estimators.cif_pair(sample)))
+        text = (tmp_path / f"c_group{sample.group}.csv").read_bytes()
+        assert text == expected.getvalue().encode()
+        assert text.endswith(b"\r\n") and text.count(b"\n") == text.count(b"\r\n")
+        written[sample.group] = text
+    assert sorted(p.name for p in tmp_path.glob("c_group*.csv")) == [
+        f"c_group{g}.csv" for g in sorted(written)
+    ]
+    if case == "no-events-arm":
+        assert written[0] == b"time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n"
+    elif case == "exponent-times":
+        assert b"\r\n1e-05," in written[0] and b"\r\n1e+16," in written[1]
+    elif case == "tiny-incidence":
+        assert written[0].endswith(b"\r\n1.0,0.99995,5e-05,0.0\r\n")
+
+
+def test_cli_import_skips_stats_optimize_integrate(fixture_csv, tmp_path):
+    # neither the import, nor censored simulate studies, which calibrate
+    # censoring, nor analyze with curve and JSON output load these modules
     code = (
         "import sys, rmtlkit.cli as cli\n"
         "for mode in ('power', 'samplesize'):\n"
         "    assert cli.main(['simulate', '--mode', mode, '--scenario', 'C', '--n0', '40',\n"
         "                     '--n1', '40', '--censoring', '30', '--reps', '100',\n"
         "                     '--out', sys.argv[1] + mode]) == 0\n"
+        "assert cli.main(['analyze', sys.argv[2], '--curves', sys.argv[1] + 'curves.csv',\n"
+        "                 '--json', sys.argv[1] + 'analyze.json']) == 0\n"
         "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
         "if m in sys.modules])"
     )
     src = str(Path(rmtlkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "study_")],
+        [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv)],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "[]"
@@ -170,6 +229,38 @@ def test_analyze_directory_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{csv}", "--curves", "{afile}/c.csv"],
+    ["analyze", "{afile}/x.csv"],
+    ["analyze", "{csv}", "--json", "{afile}/x.json"],
+    ["simulate", "--scenario", "A", "--n0", "50", "--n1", "50", "--reps", "100",
+     "--out", "{afile}/x"],
+])
+def test_path_under_a_file_exit_2(fixture_csv, tmp_path, capsys, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    argv = [a.format(csv=fixture_csv, afile=afile) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_exit_2(fixture_csv, tmp_path, monkeypatch, capsys):
+    # root may write anywhere, so the refusal comes from the opener
+    def refusing(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(rmtlkit.cli, "open", refusing, raising=False)
+    assert main(["analyze", str(fixture_csv), "--curves", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("c_group*.csv"))
 
 
 def test_analyze_oversized_field_exit_2(tmp_path, capsys):

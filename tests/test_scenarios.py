@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scalar_oracle import sdh_cause1_cif, sdh_cause2_cif, sdh_delta
 
 from rmtlkit import CalibrationError, InputError, scenarios
 from rmtlkit.scenarios import (
@@ -14,9 +15,6 @@ from rmtlkit.scenarios import (
     generate_group,
     piecewise_cdf,
     scenario,
-    sdh_cause1_cif,
-    sdh_cause2_cif,
-    sdh_delta,
     true_rmtld,
 )
 
