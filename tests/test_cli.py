@@ -249,7 +249,7 @@ def test_path_under_a_file_exit_2(fixture_csv, tmp_path, capsys, argv):
 
 
 def test_unwritable_output_exit_2(fixture_csv, tmp_path, monkeypatch, capsys):
-    # root may write anywhere, so the refusal comes from the opener
+    # a superuser may write anywhere, so the refusal comes from the opener
     def refusing(path, mode="r", *args, **kwargs):
         if "w" in mode:
             raise PermissionError(13, "Permission denied", str(path))
