@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -85,6 +88,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _check_outputs(*paths):
+    """Fail before any work unless the parent of each given output path is
+    an existing directory; a refused write still fails when it happens."""
+    for path in filter(None, paths):
+        if not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _parse_code_map(text, what):
     """'10,1,2' -> {'10': 0, '1': 1, '2': 2} for events (censored,
     interest, competing) or {'a': 0, 'b': 1} for groups."""
@@ -122,6 +133,8 @@ def _write_curves(base, samples):
 
 
 def cmd_analyze(args) -> int:
+    # the curve files sit beside args.curves (_curve_path keeps its parent)
+    _check_outputs(args.curves, args.json)
     data = ingest_single_group_csv(
         args.csv,
         time_col=args.time_col,
@@ -178,6 +191,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
+    _check_outputs(args.json)
     direct = args.sigma0_sq is not None or args.sigma1_sq is not None
     piloted = args.pilot0 is not None or args.pilot1 is not None
     if direct and piloted:
@@ -247,6 +261,7 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_outputs(args.out)
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
     if args.workers < 1:

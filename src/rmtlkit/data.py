@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,10 @@ EVENT_COMPETING = 2
 GROUP_CONTROL = 0
 GROUP_TREATMENT = 1
 
-# characters per list of lines that the C reader's input is read in
+# characters per chunk of the C reader's scan of its input
 _CHUNK_CHARS = 1 << 16
+# suffixes that numpy's np.lib._datasource opens as compressed files
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def _validate_arrays(time, event):
@@ -239,17 +241,30 @@ def _parse_csv_rows(source, time_col, event_col, group_col, event_codes=None, gr
     """
     with _open_source(source) as handle:
         if not (event_codes or group_codes) and handle.seekable():
-            columns = _read_clean(handle, time_col, event_col, group_col)
+            feed = _loadtxt_feed(source, handle)
+            columns = _read_clean(handle, feed, time_col, event_col, group_col)
             if columns is not None:
                 return columns
             handle.seek(0)
         return _read_rows(handle, time_col, event_col, group_col, event_codes, group_codes)
 
 
-def _header_columns(reader, time_col, event_col, group_col):
+def _loadtxt_feed(source, handle):
+    """What ``np.loadtxt`` reads: a regular file's absolute path, which numpy
+    reads in blocks, or else ``handle``, line by line. numpy opens a ``str``
+    through ``np.lib._datasource``, which decompresses by suffix and fetches
+    a name shaped like a URL; an absolute path is never shaped like one."""
+    if isinstance(source, (str, os.PathLike)) and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        path = os.path.abspath(source)
+        if isinstance(path, str) and not path.endswith(_COMPRESSED):
+            return path
+    return handle
+
+
+def _header_columns(header, time_col, event_col, group_col):
     """Indexes of the time, event and group columns (None without ``group_col``)."""
-    # the first line is the header even if blank, and the last duplicated name wins
-    index = {name: i for i, name in enumerate(next(reader, []))}
+    # the last duplicated name wins
+    index = {name: i for i, name in enumerate(header)}
     for col in (time_col, event_col, group_col):
         if col is not None and col not in index:
             raise SchemaError(col)
@@ -262,7 +277,8 @@ def _read_rows(handle, time_col, event_col, group_col, event_codes, group_codes)
     group_code = _code_parser(group_codes, "group", GROUP_CONTROL, GROUP_TREATMENT)
     times, events, groups = [], [], []
     reader = csv.reader(handle)
-    ti, ei, gi = _header_columns(reader, time_col, event_col, group_col)
+    # the first line is the header even if blank
+    ti, ei, gi = _header_columns(next(reader, []), time_col, event_col, group_col)
     width = max(ti, ei, gi or 0) + 1
     # blank lines are skipped uncounted, and a short row's missing cells read ''
     for rownum, row in enumerate(filter(None, reader), start=1):
@@ -287,29 +303,31 @@ class _Decline(Exception):
     """The C reader leaves this file to the row loop."""
 
 
-def _read_clean(handle, time_col, event_col, group_col):
+def _read_clean(handle, feed, time_col, event_col, group_col):
     """The columns of a clean file by ``np.loadtxt``, or None to leave the
     file to the row loop: on a reader error, a cell the loop would refuse, a
     body without data rows, or text where the two readers could part ways.
 
     The header goes through ``csv.reader`` as in the loop, and its errors are
-    the loop's. Both readers take their lines from the handle, so a CR ends a
-    line in a file and is refused inside a line of a text stream. The C reader
-    takes the same quoting and reads a cell as ``float`` does, but it knows
-    neither ``_`` in numbers nor ``csv``'s field size limit, which
-    ``_body_lines`` enforces.
+    the loop's; numpy skips it as one physical line, so a header cell holding
+    a CR or LF declines. ``_scan_body`` reads the rest of ``handle`` once for
+    what numpy does not check: ``csv``'s field size limit and a body without
+    data rows. numpy then reads ``feed`` (``_loadtxt_feed``) from the start.
+    A CR ends a line in a file on both sides and is refused inside a line of
+    a text stream. The C reader takes the same quoting and reads a cell as
+    ``float`` does, but it does not know ``_`` in numbers.
     """
-    ti, ei, gi = _header_columns(csv.reader(handle), time_col, event_col, group_col)
-    lines = itertools.chain.from_iterable(_body_lines(handle, csv.field_size_limit()))
+    header = next(csv.reader(handle), [])
+    ti, ei, gi = _header_columns(header, time_col, event_col, group_col)
+    if any("\r" in name or "\n" in name for name in header):
+        return None
     try:
-        for first in lines:
-            if first.strip("\r\n"):
-                break
-        else:
+        if not _scan_body(handle, csv.field_size_limit()):
             return None  # no data row (np.loadtxt would warn)
+        handle.seek(0)
         usecols = (ti, ei) if gi is None else (ti, ei, gi)
-        table = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None,
-                           quotechar='"', usecols=usecols, ndmin=2)
+        table = np.loadtxt(feed, delimiter=",", comments=None, quotechar='"', usecols=usecols,
+                           ndmin=2, skiprows=1, encoding="utf-8-sig")
     except Exception:  # a decline, not an error: the loop reports it
         return None
     time = table[:, 0].copy()
@@ -325,19 +343,28 @@ def _read_clean(handle, time_col, event_col, group_col):
     return time, event, group
 
 
-def _body_lines(handle, limit):
-    """The rest of ``handle`` as lists of lines. Raises :class:`_Decline` where
-    a field could exceed ``csv``'s ``limit``: on a longer line, or when a quote
-    (a quoted field may span lines) is in a body longer than ``limit``."""
-    read, quoted = 0, False
-    for lines in iter(lambda: handle.readlines(_CHUNK_CHARS), []):
-        chunk = "".join(lines)
+def _scan_body(handle, limit):
+    """Whether the rest of ``handle`` holds a data row, read in chunks.
+    Raises :class:`_Decline` where a field could exceed ``csv``'s ``limit``:
+    on a line of ``limit`` or more characters, or when a quote (a quoted
+    field may span lines) is in a body longer than ``limit``."""
+    read, line, quoted, rows = 0, 0, False, False
+    for chunk in iter(lambda: handle.read(_CHUNK_CHARS), ""):
         read += len(chunk)
         quoted = quoted or '"' in chunk
-        too_long = len(chunk) > limit and max(map(len, lines)) > limit
-        if too_long or (quoted and read > limit):
+        rows = rows or bool(chunk.strip("\r\n"))
+        if line + len(chunk) < limit:  # no line of this chunk reaches the limit
+            cut = max(chunk.rfind("\n"), chunk.rfind("\r"))
+            line = (line if cut < 0 else 0) + len(chunk) - 1 - cut
+        else:
+            lengths = list(map(len, chunk.replace("\r", "\n").split("\n")))
+            lengths[0] += line
+            if max(lengths) >= limit:
+                raise _Decline
+            line = lengths[-1]
+        if quoted and read > limit:
             raise _Decline
-        yield lines
+    return rows
 
 
 def _clean_codes(column, top):
@@ -357,7 +384,8 @@ def _samples_from_columns(time, event, group, allow_single: bool):
     for g, n in enumerate(counts):
         if n < 2:
             raise SampleSizeError(f"group {g} has {n} subject(s); at least 2 required in each arm")
-    return TwoGroupSample(*(GroupSample(time[group == g], event[group == g], g) for g in (0, 1)))
+    arms = (np.flatnonzero(group == g) for g in (0, 1))
+    return TwoGroupSample(*(GroupSample(time[i], event[i], g) for g, i in enumerate(arms)))
 
 
 def ingest_csv(

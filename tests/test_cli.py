@@ -231,21 +231,44 @@ def test_analyze_directory_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+SAMPLESIZE = ["samplesize", "--delta", "0.5", "--sigma0-sq", "1", "--sigma1-sq", "1"]
+
+
+# every output's parent is checked before any work, so nothing reaches stdout
 @pytest.mark.parametrize("argv", [
     ["analyze", "{csv}", "--curves", "{afile}/c.csv"],
     ["analyze", "{afile}/x.csv"],
     ["analyze", "{csv}", "--json", "{afile}/x.json"],
     ["simulate", "--scenario", "A", "--n0", "50", "--n1", "50", "--reps", "100",
      "--out", "{afile}/x"],
+    [*SAMPLESIZE, "--json", "{afile}/x.json"],
+    ["analyze", "{csv}", "--curves", "{afile}/sub/c.csv"],
 ])
 def test_path_under_a_file_exit_2(fixture_csv, tmp_path, capsys, argv):
     afile = tmp_path / "afile"
     afile.write_text("x")
     argv = [a.format(csv=fixture_csv, afile=afile) for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Not a directory" in err
     assert err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{csv}", "--json", "{missing}/x.json"],
+    ["analyze", "{csv}", "--curves", "{missing}/c.csv"],
+    ["simulate", "--scenario", "A", "--n0", "50", "--n1", "50", "--reps", "100",
+     "--out", "{missing}/x"],
+    [*SAMPLESIZE, "--json", "{missing}/x.json"],
+])
+def test_missing_output_parent_exit_2(fixture_csv, tmp_path, capsys, argv):
+    argv = [a.format(csv=fixture_csv, missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert err.count("\n") == 1
+    assert out == "" and not (tmp_path / "missing").exists()
 
 
 def test_unwritable_output_exit_2(fixture_csv, tmp_path, monkeypatch, capsys):

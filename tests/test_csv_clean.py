@@ -12,12 +12,14 @@ declines what the loop refuses, with the loop's error.
 
 import csv
 import decimal
+import gzip
 import io
 import math
 import os
 import random
 import threading
 import tracemalloc
+import urllib.request
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ import pytest
 from test_csv_parity import SOURCES, _oracle_groups, _outcome, _parser_groups, _sources
 
 from rmtlkit import data
+from rmtlkit.cli import main
 from rmtlkit.data import ingest_csv, ingest_single_group_csv
 from rmtlkit.errors import SampleSizeError
 
@@ -45,6 +48,20 @@ def clean_reads(monkeypatch):
 
     monkeypatch.setattr(data, "_read_clean", spy)
     return reads
+
+
+@pytest.fixture
+def loadtxt_feeds(monkeypatch):
+    """What each ``np.loadtxt`` call was given to read."""
+    feeds = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        feeds.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return feeds
 
 
 def _halfway(rng):
@@ -134,10 +151,12 @@ def _loop_groups(source, args):
     }
 
 
-def test_clean_files_take_the_c_reader_and_match_both_references(tmp_path, clean_reads):
+def test_clean_files_take_the_c_reader_and_match_both_references(
+    tmp_path, clean_reads, loadtxt_feeds
+):
     rng = random.Random(SEED)
     path = tmp_path / "case.csv"
-    with_rows = []
+    with_rows, feeds = [], []
     for i in range(FILES):
         text, args, kind, rows = make_clean_case(rng)
         oracle_source, source = _sources(text, kind, path)
@@ -147,9 +166,19 @@ def test_clean_files_take_the_c_reader_and_match_both_references(tmp_path, clean
         assert got == expected, f"file {i} ({args}, {kind}): {text!r}"
         assert isinstance(got, dict), f"file {i} raised {got}"
         with_rows.append(rows > 0)
+        if rows:
+            feeds.append(kind)
     # the C reader declines exactly the files without a data row
     assert clean_reads == with_rows
     assert sum(with_rows) >= 1000
+    # numpy reads a file by its absolute path, in blocks, and bytes or a
+    # stream through the parser's rewound handle
+    assert len(loadtxt_feeds) == len(feeds)
+    for kind, feed in zip(feeds, loadtxt_feeds):
+        if kind in ("path", "pathlib"):
+            assert type(feed) is str and feed == os.path.abspath(path), (kind, feed)
+        else:
+            assert isinstance(feed, io.StringIO), (kind, feed)
 
 
 def test_c_reader_times_are_float_bits(clean_reads):
@@ -219,6 +248,59 @@ def test_bom_in_a_text_stream_is_skipped_by_both_readers(codes, clean_reads):
     assert clean_reads == ([] if codes else [True, True])
 
 
+CLEAN = "time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
+CLEAN_COLUMNS = [[1.0, 2.0, 3.0, 4.0], [1, 0, 1, 2], [0, 0, 1, 1]]
+
+
+def _columns(source):
+    return [a.tolist() for a in data._parse_csv_rows(source, "time", "event", "group")]
+
+
+def test_a_compressed_suffix_is_not_decompressed(tmp_path, clean_reads, loadtxt_feeds):
+    # numpy would open a str path ending in .gz through gzip
+    packed = tmp_path / "x.csv.gz"
+    packed.write_bytes(gzip.compress(CLEAN.encode()))
+    with pytest.raises(UnicodeDecodeError):
+        data._parse_csv_rows(packed, "time", "event", "group")
+    with pytest.raises(UnicodeDecodeError):
+        data._parse_csv_rows(str(packed), "time", "event", "group", {"0": 0}, None)
+    assert main(["analyze", str(packed)]) == 2
+    # a plain file with the suffix is read through the handle
+    plain = tmp_path / "y.csv.gz"
+    plain.write_text(CLEAN)
+    assert _columns(plain) == CLEAN_COLUMNS
+    assert clean_reads == [True] and isinstance(loadtxt_feeds[0], io.TextIOWrapper)
+
+
+def test_a_url_shaped_path_is_read_from_disk(tmp_path, monkeypatch, clean_reads, loadtxt_feeds):
+    fetched = []
+
+    def refuse(url, *args, **kwargs):
+        fetched.append(url)
+        raise OSError("no network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "x.csv").write_text(CLEAN)
+    assert _columns("http://host/x.csv") == CLEAN_COLUMNS
+    assert clean_reads == [True] and fetched == []
+    assert loadtxt_feeds == [str(tmp_path / "http:" / "host" / "x.csv")]
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text-io"])
+def test_a_header_cell_holding_a_line_end_declines(tmp_path, kind, clean_reads):
+    # numpy would skip only the header's first line and read "1,1,0,y" as data
+    text = 'time,event,group,"x\n1,1,0,y"\n2,0,0,z\n3,1,1,z\n4,2,1,z\n'
+    want = [[2.0, 3.0, 4.0], [0, 1, 2], [0, 1, 1]]
+    assert _columns(_sources(text, kind, tmp_path / "h.csv")[1]) == want
+    assert _columns(_sources(text.replace("\n1,1", "\r1,1", 1), kind, tmp_path / "h.csv")[1]) == want
+    with data._open_source(text.encode()) as handle:
+        loop = data._read_rows(handle, "time", "event", "group", None, None)
+    assert [a.tolist() for a in loop] == want
+    assert clean_reads == [False, False]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_a_pipe_is_read_by_the_loop_alone(tmp_path, clean_reads):
     pipe = tmp_path / "pipe.csv"
@@ -246,9 +328,10 @@ def registry_csv(rows=40_000, seed=15):
 
 def test_ingest_peak_memory(tmp_path):
     # tracemalloc peak of ingest_csv on this file: 2.99 MB with the row loop
-    # alone (Python 3.11.7, numpy 2.4.6); the C reader streams the file in
-    # lists of lines and holds its (rows, 3) table and the three columns,
-    # about 2.03 MB. Reading the whole text first would need about 4.8 MB.
+    # alone (Python 3.11.7, numpy 2.4.6); the C reader scans the text in
+    # chunks, then reads the file in blocks and holds its (rows, 3) table and
+    # the three columns, about 2.14 MB. Reading the whole text first would
+    # need about 4.8 MB.
     path = tmp_path / "registry.csv"
     path.write_text(registry_csv())
     ingest_csv(path)
