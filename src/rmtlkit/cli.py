@@ -89,11 +89,23 @@ def _write_json(path, payload):
 
 
 def _check_outputs(*paths):
-    """Fail before any work unless the parent of each given output path is
-    an existing directory; a refused write still fails when it happens."""
+    """Fail before any work unless each file to be written has an existing
+    directory as parent and is not a directory itself; a refused write
+    still fails when it happens."""
     for path in filter(None, paths):
         if not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+        if os.path.isdir(path) or str(path).endswith(os.sep):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+def _file_path(path) -> Path:
+    """``path``, from which output file names are derived, as a ``Path``;
+    ``/`` and ``.`` have no file name and are refused as directories."""
+    path = Path(path)
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
 
 
 def _parse_code_map(text, what):
@@ -110,7 +122,8 @@ def _parse_code_map(text, what):
     return {p: i for i, p in enumerate(parts)}
 
 
-def _curve_path(base: Path, group: int) -> Path:
+def _curve_path(base, group: int) -> Path:
+    base = _file_path(base)
     return base.with_name(f"{base.stem}_group{group}{base.suffix or '.csv'}")
 
 
@@ -120,7 +133,6 @@ def _write_curves(base, samples):
     CR LF and each value its ``repr`` (the shortest round-trip form, so
     the file re-reads to the same floats). These are ``csv.writer``'s
     bytes for these rows, rendered in one pass and written at once."""
-    base = Path(base)
     written = []
     for sample in samples:
         path = _curve_path(base, sample.group)
@@ -133,8 +145,8 @@ def _write_curves(base, samples):
 
 
 def cmd_analyze(args) -> int:
-    # the curve files sit beside args.curves (_curve_path keeps its parent)
-    _check_outputs(args.curves, args.json)
+    curves = [_curve_path(args.curves, group) for group in (0, 1)] if args.curves else []
+    _check_outputs(*curves, args.json)
     data = ingest_single_group_csv(
         args.csv,
         time_col=args.time_col,
@@ -261,7 +273,10 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_outputs(args.out)
+    if args.out:
+        stem = _file_path(args.out)
+        json_path, csv_path = stem.with_suffix(".json"), stem.with_suffix(".csv")
+        _check_outputs(json_path, csv_path)
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
     if args.workers < 1:
@@ -285,9 +300,6 @@ def cmd_simulate(args) -> int:
             f"metric={metric} value={value:.4f} mc_se={mc_se:.4f}"
         )
     if args.out:
-        base = Path(args.out)
-        json_path = base.with_suffix(".json")
-        csv_path = base.with_suffix(".csv")
         payload = report.to_json_dict()
         payload["manifest"] = _manifest("simulate", vars(args), [], seed=args.seed)
         _write_json(json_path, payload)

@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtr, ndtri
-
 from .data import GroupSample
 from .errors import DegeneratePilotError, InfeasibleDesignError, InputError
-from .inference import rmtl
+from .inference import _ndtr, _ndtri, rmtl
 
 __all__ = [
     "DesignInput",
@@ -74,8 +72,8 @@ def sample_size(inp: DesignInput) -> DesignResult:
     the minimum for inference), so fractional ratios never undershoot
     the power target in either arm.
     """
-    za = float(ndtri(1.0 - inp.alpha / 2.0))
-    zb = float(ndtri(inp.power))
+    za = _ndtri(1.0 - inp.alpha / 2.0)
+    zb = _ndtri(inp.power)
     n0_real = (
         (zb + za) ** 2
         * (inp.sigma0_sq + inp.sigma1_sq / inp.ratio)
@@ -116,5 +114,5 @@ def power_at(
         raise ValueError("n0 must be at least 2")
     n1 = ratio * n0
     se = math.sqrt(sigma0_sq / n0 + sigma1_sq / n1)
-    za = float(ndtri(1.0 - alpha / 2.0))
-    return float(ndtr(abs(delta) / se - za))
+    za = _ndtri(1.0 - alpha / 2.0)
+    return _ndtr(abs(delta) / se - za)

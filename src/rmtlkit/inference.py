@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from .data import (
     EVENT_CENSORED,
@@ -310,7 +309,7 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
         for k in range(0, rows, step):
             s = slice(k, k + step)
             stat[s], gray_var[s] = _gray_rows(t[s], e[s], n0, EVENT_INTEREST)
-        gray_p = chdtrc(1, stat)
+        gray_p = _elementwise(_chdtrc1, stat)
         failed |= gray_var <= 0.0
     if usable is not None:
         failed &= usable
@@ -329,8 +328,258 @@ def _normal_test(delta, var, alpha):
     variance ``var``, for scalars or elementwise for arrays."""
     se = np.sqrt(var)
     z = delta / se
-    zq = ndtri(1.0 - alpha / 2.0)
-    return z, np.minimum(2.0 * ndtr(-np.abs(z)), 1.0), delta - zq * se, delta + zq * se
+    zq = _ndtri(1.0 - alpha / 2.0)
+    p = np.minimum(2.0 * _elementwise(_ndtr, -np.abs(z)), 1.0)
+    return z, p, delta - zq * se, delta + zq * se
+
+
+# The normal and 1-df chi-square tails: a line-for-line port of the Cephes
+# code that scipy.special (1.17) runs for ndtr, ndtri and chdtrc(1, x), so
+# every p-value and quantile has scipy's bits without importing scipy
+# (tests/test_special.py checks them against it bit for bit). Each value is
+# taken one float at a time through ``math``, which calls the same libm
+# exp, log, sqrt and pow as the C code; numpy's vectorised exp and log
+# need not round alike. Only the branches of igamc(a, x) that a = 0.5
+# reaches are ported, with their a-only constants precomputed.
+
+_MACHEP = 1.11022302462515654042e-16
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+# erfc: P/Q for 1 <= |x| < 8, R/S beyond; erf: T/U for |x| <= 1
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# ndtri: P0/Q0 for the centre, P1/Q1 and P2/Q2 for the tails
+_NDTRI_EXPM2 = 0.13533528323661269189  # exp(-2)
+_NDTRI_S2PI = 2.50662827463100050242e0
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# expm1 for |x| <= 0.5
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3, 2.2726554820815502876593e-1,
+            2.0000000000000000000897e0)
+# igamc(0.5, .): lgam(0.5); lgam1p(0.5), a Taylor sum cut at 40 terms, so
+# about 250 ulp from log(gamma(1.5)); lanczos_sum_expg_scaled(0.5), its
+# rational sum, 1 ulp above sqrt(pi); and the Lanczos g
+_LGAM_HALF = 0.5723649429247
+_LGAM1P_HALF = -0.12078223763524884
+_LANCZOS_SUM_HALF = 1.772453850905516
+_LANCZOS_G = 6.024680040776729583740234375
+_IGAM_BIG, _IGAM_BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16
+
+
+def _elementwise(f, x):
+    """``f`` of a scalar, or of each element of a 1-d array."""
+    if np.ndim(x) == 0:
+        return f(float(x))
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+def _polevl(x: float, coef) -> float:
+    """Cephes ``polevl``: Horner's rule from the leading coefficient
+    (its ``p1evl`` is this with a leading 1.0)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
+    y = (z * p) / q
+    if a < 0:
+        y = 2.0 - y
+    if y != 0.0:
+        return y
+    return 2.0 if a < 0 else 0.0
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF (Cephes ``ndtr``)."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile (Cephes ``ndtri``)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _NDTRI_EXPM2:
+        y = 1.0 - y
+        negate = False
+    if y > _NDTRI_EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+def _expm1(x: float) -> float:
+    """Cephes ``expm1`` for |x| <= 0.5, the only range that
+    ``_igamc_half_series`` calls it with: a rational form, which can
+    differ from ``math.expm1`` in the last bit."""
+    xx = x * x
+    r = x * _polevl(xx, _EXPM1_P)
+    r = r / (_polevl(xx, _EXPM1_Q) - r)
+    return r + r
+
+
+def _chdtrc1(x: float) -> float:
+    """Upper tail of chi-square with 1 df: Cephes ``chdtrc(1, x)`` =
+    ``igamc(0.5, x / 2)``. NaN for a negative or NaN ``x``, tested before
+    halving (-5e-324 / 2 is -0.0)."""
+    if not x >= 0.0:
+        return math.nan
+    x = x / 2.0
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if x > 1.1:
+        return _igamc_half_cf(x)
+    # igamc's test x * 1.1 < a fails for every x > 0.5
+    if x <= 0.5 and -0.4 / math.log(x) < 0.5:
+        return 1.0 - _igam_half_series(x)
+    return _igamc_half_series(x)
+
+
+def _igam_half_fac(x: float) -> float:
+    """x^a e^-x / Gamma(a) at a = 0.5 (Cephes ``igam_fac``)."""
+    if abs(0.5 - x) > 0.4 * 0.5:
+        ax = 0.5 * math.log(x) - x - _LGAM_HALF
+        if ax < -_MAXLOG:
+            return 0.0
+        return math.exp(ax)
+    fac = 0.5 + _LANCZOS_G - 0.5
+    res = math.sqrt(fac / math.e) / _LANCZOS_SUM_HALF
+    return res * (math.exp(0.5 - x) * math.pow(x / fac, 0.5))
+
+
+def _igam_half_series(x: float) -> float:
+    """Lower regularized gamma P(0.5, x) by its power series."""
+    ax = _igam_half_fac(x)
+    if ax == 0.0:
+        return 0.0
+    r, c, ans = 0.5, 1.0, 1.0
+    for _ in range(2000):
+        r += 1.0
+        c *= x / r
+        ans += c
+        if c <= _MACHEP * ans:
+            break
+    return ans * ax / 0.5
+
+
+def _igamc_half_series(x: float) -> float:
+    """Upper regularized gamma Q(0.5, x) by DLMF 8.7.3."""
+    fac, total = 1.0, 0.0
+    for n in range(1, 2000):
+        fac *= -x / n
+        term = fac / (0.5 + n)
+        total += term
+        if abs(term) <= _MACHEP * abs(total):
+            break
+    logx = math.log(x)
+    term = -_expm1(0.5 * logx - _LGAM1P_HALF)
+    return term - math.exp(0.5 * logx - _LGAM_HALF) * total
+
+
+def _igamc_half_cf(x: float) -> float:
+    """Upper regularized gamma Q(0.5, x) by its continued fraction."""
+    ax = _igam_half_fac(x)
+    if ax == 0.0:
+        return 0.0
+    y = 1.0 - 0.5
+    z = x + y + 1.0
+    c = 0.0
+    pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
+    ans = pkm1 / qkm1
+    for _ in range(2000):
+        c += 1.0
+        y += 1.0
+        z += 2.0
+        yc = y * c
+        pk = pkm1 * z - pkm2 * yc
+        qk = qkm1 * z - qkm2 * yc
+        if qk != 0:
+            r = pk / qk
+            t = abs((ans - r) / r)
+            ans = r
+        else:
+            t = 1.0
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > _IGAM_BIG:
+            pkm2 *= _IGAM_BIGINV
+            pkm1 *= _IGAM_BIGINV
+            qkm2 *= _IGAM_BIGINV
+            qkm1 *= _IGAM_BIGINV
+        if t <= _MACHEP:
+            break
+    return ans * ax
 
 
 def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> GrayResult:
@@ -351,7 +600,7 @@ def gray_test(sample0: GroupSample, sample1: GroupSample, cause: int = 1) -> Gra
     stat, var = _gray_rows(t, e, sample0.n, cause)
     if var[0] <= 0.0:
         raise DegenerateTestError(_GRAY_ZERO_VARIANCE)
-    return GrayResult(statistic=float(stat[0]), p=float(chdtrc(1, stat[0])), cause=cause)
+    return GrayResult(statistic=float(stat[0]), p=_chdtrc1(float(stat[0])), cause=cause)
 
 
 def _subject_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

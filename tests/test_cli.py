@@ -150,24 +150,34 @@ def test_curve_file_bytes(tmp_path, capsys, case):
         assert written[0].endswith(b"\r\n1.0,0.99995,5e-05,0.0\r\n")
 
 
-def test_cli_import_skips_stats_optimize_integrate(fixture_csv, tmp_path):
+def test_cli_loads_no_scipy(fixture_csv, tmp_path):
     # neither the import, nor censored simulate studies, which calibrate
-    # censoring, nor analyze with curve and JSON output load these modules
+    # censoring, nor analyze with curve and JSON output, nor samplesize
+    # from pilot CSVs loads scipy or any of its submodules
+    pilots = [tmp_path / "pilot0.csv", tmp_path / "pilot1.csv"]
+    pilots[0].write_text("time,event\n1,1\n2,1\n3,0\n4,2\n5,1\n")
+    pilots[1].write_text("time,event\n1,2\n2,1\n3,1\n4,0\n5,1\n")
     code = (
         "import sys, rmtlkit.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "loaded = scipy_modules()\n"
         "for mode in ('power', 'samplesize'):\n"
         "    assert cli.main(['simulate', '--mode', mode, '--scenario', 'C', '--n0', '40',\n"
         "                     '--n1', '40', '--censoring', '30', '--reps', '100',\n"
         "                     '--out', sys.argv[1] + mode]) == 0\n"
+        "    loaded += scipy_modules()\n"
         "assert cli.main(['analyze', sys.argv[2], '--curves', sys.argv[1] + 'curves.csv',\n"
         "                 '--json', sys.argv[1] + 'analyze.json']) == 0\n"
-        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
-        "if m in sys.modules])"
+        "loaded += scipy_modules()\n"
+        "assert cli.main(['samplesize', '--pilot0', sys.argv[3], '--pilot1', sys.argv[4],\n"
+        "                 '--tau', '4']) == 0\n"
+        "print(loaded + scipy_modules())"
     )
     src = str(Path(rmtlkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv)],
+        [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv), *map(str, pilots)],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "[]"
@@ -269,6 +279,32 @@ def test_missing_output_parent_exit_2(fixture_csv, tmp_path, capsys, argv):
     assert err.startswith("error: ") and "No such file or directory" in err
     assert err.count("\n") == 1
     assert out == "" and not (tmp_path / "missing").exists()
+
+
+# an output file that is a directory, or a path with no file name to derive
+# the output names from, fails before any work as well, writing nothing
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{csv}", "--json", "{tmp}/d"],
+    ["analyze", "{csv}", "--json", "{tmp}/out.json/"],
+    ["analyze", "{csv}", "--curves", "{tmp}/c.csv"],
+    ["analyze", "{csv}", "--curves", "/"],
+    ["analyze", "{csv}", "--curves", "."],
+    ["simulate", "--scenario", "A", "--n0", "50", "--n1", "50", "--reps", "100",
+     "--out", "{tmp}/s"],
+    ["simulate", "--scenario", "A", "--n0", "50", "--n1", "50", "--reps", "100",
+     "--out", "/"],
+    [*SAMPLESIZE, "--json", "{tmp}/d"],
+])
+def test_output_is_a_directory_exit_2(fixture_csv, tmp_path, capsys, argv):
+    for name in ("d", "c_group1.csv", "s.csv"):
+        (tmp_path / name).mkdir()
+    before = sorted(tmp_path.iterdir())
+    argv = [a.format(csv=fixture_csv, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.count("\n") == 1
+    assert out == "" and sorted(tmp_path.iterdir()) == before
 
 
 def test_unwritable_output_exit_2(fixture_csv, tmp_path, monkeypatch, capsys):

@@ -341,8 +341,9 @@ def test_gray_permutation_oracle():
 
 
 def test_special_functions_match_scipy_stats():
-    # p-values and quantiles come from scipy.special; on these grids they
-    # equal the scipy.stats distribution methods bit for bit
+    # p-values and quantiles come from a port of the scipy.special code
+    # (tests/test_special.py); on these grids scipy.special equals the
+    # scipy.stats distribution methods bit for bit
     z = np.linspace(-40.0, 40.0, 200_001)
     q = np.linspace(0.0, 1.0, 200_001)[1:-1]
     x = np.linspace(0.0, 200.0, 200_001)
