@@ -209,9 +209,11 @@ def _observe(spec: ScenarioSpec, group: int, u: np.ndarray, bound: float | None)
 
 
 def _draw_rows(spec: ScenarioSpec, group: int, rngs, n: int, bound: float | None) -> tuple:
-    """Every simulated arm: ``n`` subjects per generator in ``rngs``, one
-    row each. A row draws n cause, n failure-time and, when censored, n
-    censoring uniforms; then all rows pass through ``_observe`` at once."""
+    """One arm for ``generate_group``: ``n`` subjects per generator in
+    ``rngs``, one row each. A row draws n cause, n failure-time and, when
+    censored, n censoring uniforms, the layout ``simulate._replicate_block``
+    fills for both arms of a replicate in one call; then all rows pass
+    through ``_observe`` at once."""
     u = np.empty((2 if bound is None else 3, len(rngs), n))
     for r, rng in enumerate(rngs):
         for row in u[:, r]:

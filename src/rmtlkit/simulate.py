@@ -28,8 +28,9 @@ Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows and
 kernel that ``rmtld_test`` runs on one row, so every row, tied or not,
 equals ``rmtld_test`` and ``gray_test`` on the same subjects bit for
 bit, and a degenerate row raises the error they raise. One study call
-uses at most one process pool for all of its replicates, with at most
-one worker per CPU.
+uses at most one process pool for all of its replicates. The calling
+process is one of its ``workers`` processes, at most one per CPU: the
+pool holds the others, so ``workers=2`` forks one process.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import scenarios
 from .design import DesignInput, sample_size
 from .errors import InfeasibleDesignError, InputError, SimulationError
 from .inference import _rmtld_rows
-from .scenarios import ScenarioSpec, _draw_rows, calibrate_censoring, true_rmtld
+from .scenarios import ScenarioSpec, calibrate_censoring, true_rmtld
 
 __all__ = [
     "SimulationReport",
@@ -79,9 +81,10 @@ _PHASE_POWER = 2
 _BLOCK_ROWS = 32
 _BLOCK_CELLS = 2**17
 
-# A pool gets at least this many jobs (reps permitting), so its workers
-# finish together and hold small blocks (32-row blocks of the designed
-# D 300/300 sample-size cell raised their peak RSS by 7-10%).
+# A pooled call cuts its replicates into at least this many blocks (reps
+# permitting), so its processes, the caller included, finish together and
+# hold small blocks (32-row blocks of the designed D 300/300 sample-size
+# cell raised their peak RSS by 7-10%).
 _POOL_JOBS = 8
 
 # per-replicate outputs of the block kernel; NaN where not computed
@@ -184,18 +187,25 @@ def _replicate_block(
     on the same subjects, bit for bit, and a usable degenerate row
     raises the ``DegenerateTestError`` they raise for it. This is the
     only code that computes replicates; ``_map_replicates`` feeds it
-    blocks in this process or on the one pool of the study call.
+    blocks, in this process and on the pool workers of the study call.
     """
     n0, n1 = spec.n0, spec.n1
     gray = fixed_tau is None and phase != _PHASE_PILOT
     rows = len(indices)
     bounds = _bounds_for(spec)
+    # one fill per row: arm 0's cause, failure-time and (when censored)
+    # censoring planes, then arm 1's, the order generate_group draws them
+    planes = [2 if bounds[g] is None else 3 for g in (0, 1)]
+    u = np.empty((rows, planes[0] * n0 + planes[1] * n1))
+    for r, i in enumerate(indices):
+        _rng_for(seed, phase, i).random(out=u[r])
     t = np.empty((rows, n0 + n1))
     e = np.empty((rows, n0 + n1), dtype=np.int64)
-    rngs = [_rng_for(seed, phase, i) for i in indices]
-    t[:, :n0], e[:, :n0] = _draw_rows(spec, 0, rngs, n0, bounds[0])
-    t[:, n0:], e[:, n0:] = _draw_rows(spec, 1, rngs, n1, bounds[1])
-    del rngs  # 32 generators would add about 26 KB to the block's heap peak
+    arm0 = u[:, : planes[0] * n0].reshape(rows, planes[0], n0).transpose(1, 0, 2)
+    arm1 = u[:, planes[0] * n0 :].reshape(rows, planes[1], n1).transpose(1, 0, 2)
+    t[:, :n0], e[:, :n0] = scenarios._observe(spec, 0, arm0, bounds[0])
+    t[:, n0:], e[:, n0:] = scenarios._observe(spec, 1, arm1, bounds[1])
+    del u, arm0, arm1  # the uniforms die before the kernel allocates
 
     tau = np.minimum(t[:, :n0].max(axis=1), t[:, n0:].max(axis=1))
     unusable = np.zeros(rows, dtype=bool)
@@ -209,35 +219,52 @@ def _replicate_block(
 
 
 def _chunk_worker(args):
-    """One pool job of ``_map_replicates``; ``bench/tracing.py`` swaps
-    it by name to collect the spans of pool workers."""
+    """One block of a pool worker's share in ``_map_replicates``;
+    ``bench/tracing.py`` swaps it by name to collect the spans of pool
+    workers, so the calling process never runs it."""
     return _replicate_block(*args)
 
 
 def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -> dict:
     """Replicates ``0 .. reps-1`` of ``phase`` in blocks of at most
-    ``_BLOCK_ROWS`` rows and ``_BLOCK_CELLS`` subjects, run by ``pool``
-    or, when it is None, in this process; rows in index order."""
+    ``_BLOCK_ROWS`` rows and ``_BLOCK_CELLS`` subjects; rows in index
+    order. ``pool`` is None, and this process runs every block, or the
+    ``(executor, processes)`` pair of ``_pool``: the blocks are then cut
+    into ``processes`` contiguous shares, each pool worker gets one
+    share as one work item, and this process runs the first share,
+    which holds the lowest indices, so the first degenerate row in
+    index order still raises."""
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (spec.n0 + spec.n1)))
     if pool is not None:
         rows = min(rows, -(-reps // _POOL_JOBS))
     blocks = [range(k, min(k + rows, reps)) for k in range(0, reps, rows)]
     jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
-    if pool is None:
-        parts = [_replicate_block(*job) for job in jobs]
-    else:
-        parts = list(pool.map(_chunk_worker, jobs))
+    share, theirs = len(jobs), []
+    if pool is not None:
+        executor, processes = pool
+        share = -(-len(jobs) // processes)
+        # Executor.map submits every work item before this process starts
+        # on its own share
+        theirs = executor.map(_chunk_worker, jobs[share:], chunksize=share)
+    parts = [_replicate_block(*job) for job in jobs[:share]] + list(theirs)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
+@contextmanager
 def _pool(spec: ScenarioSpec, workers: int):
-    """The one process pool of a study call, of at most one worker per
-    CPU, or a null context when ``workers <= 1``. Reports do not depend
-    on the worker count."""
-    if workers <= 1:
-        return nullcontext()
+    """The one process pool of a study call: yields None when
+    ``min(workers, CPUs)`` is 1, else ``(executor, processes)`` with
+    ``processes = min(workers, CPUs)`` and an executor of
+    ``processes - 1`` workers, because the calling process runs a share
+    too. Leaving it waits for every worker. Reports do not depend on
+    the worker count."""
+    processes = min(workers, os.cpu_count() or 1)
+    if processes <= 1:
+        yield None
+        return
     _bounds_for(spec)  # calibrate here, so forked workers inherit the cached bounds
-    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
+    with ProcessPoolExecutor(max_workers=processes - 1) as executor:
+        yield executor, processes
 
 
 def _bounds_for(spec: ScenarioSpec) -> dict:

@@ -145,11 +145,16 @@ def _traced_power_study(monkeypatch, tmp_path, workers):
 
 
 def test_traced_pool_study_counts_its_pool_and_merges_worker_spans(monkeypatch, tmp_path):
-    # the tracer replaces simulate's pool class and chunk worker by name
+    # the tracer replaces simulate's pool class and chunk worker by name;
+    # two CPUs give the caller and one pool worker on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tracer, spilled = _traced_power_study(monkeypatch, tmp_path, workers=2)
     assert tracer.counts["simulate.pool_starts"] == 1
     assert spilled
     assert {span[1] for span in tracer.spans} - {os.getpid()}
+    # the caller runs its share without the chunk worker, whose spills
+    # would count its spans twice
+    assert [name for name in spilled if name.startswith(f"spans-{os.getpid()}-")] == []
 
 
 def test_traced_serial_study_spills_nothing(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -7,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rmtlkit import SimulationError, inference, simulate
+from rmtlkit import DegenerateTestError, SimulationError, inference, simulate
 from rmtlkit.design import DesignInput, sample_size
 from rmtlkit.scenarios import calibrate_censoring, scenario
 from rmtlkit.simulate import (
@@ -72,8 +73,8 @@ STUDIES = {
 }
 
 
-@pytest.mark.parametrize("study", STUDIES)
-def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
+def count_pools(monkeypatch) -> list:
+    """Record the arguments of every real pool simulate opens."""
     starts = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -82,14 +83,33 @@ def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_one_pool_per_study_and_worker_count_invariance(monkeypatch, study):
+    starts = count_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = STUDIES[study](1)
     assert starts == []
     parallel = STUDIES[study](2)
-    # the pool is capped at the CPU count, as in simulate._pool
-    assert starts == [{"max_workers": min(2, os.cpu_count() or 1)}]
-    assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-        parallel.to_json_dict(), sort_keys=True
-    )
+    # the caller is one of the min(2, cpus) processes, so the pool holds
+    # one worker fewer, as in simulate._pool
+    assert starts == [{"max_workers": min(2, os.cpu_count()) - 1}]
+    assert report_json(serial) == report_json(parallel)
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_one_cpu_opens_no_pool(monkeypatch, study):
+    starts = count_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    pooled = STUDIES[study](2)
+    assert starts == []
+    assert report_json(pooled) == report_json(STUDIES[study](1))
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
@@ -107,15 +127,42 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     capped = STUDIES["power"](10**6)
-    assert starts == [{"max_workers": os.cpu_count()}]
-    assert json.dumps(capped.to_json_dict(), sort_keys=True) == json.dumps(
-        STUDIES["power"](1).to_json_dict(), sort_keys=True
-    )
+    assert starts == [{"max_workers": os.cpu_count() - 1}]
+    assert report_json(capped) == report_json(STUDIES["power"](1))
+
+
+# replicates that fail in the pooled power study of STUDIES: its 100
+# replicates run in 8 blocks of 13 rows, so with two processes the caller
+# runs replicates 0-51 and the pool worker 52-99
+FAILING = {"caller": {10}, "worker": {70}, "both": {30, 60}}
+
+
+@pytest.mark.parametrize("where", FAILING)
+def test_first_failing_row_in_index_order_raises_across_shares(monkeypatch, where):
+    failing, real = FAILING[where], simulate._replicate_block
+
+    def failing_block(spec, seed, indices, *args):
+        hit = sorted(failing.intersection(indices))
+        if hit:
+            raise DegenerateTestError(f"replicate {hit[0]} is degenerate")
+        return real(spec, seed, indices, *args)
+
+    # patched before the pool forks, so its worker runs the same code
+    monkeypatch.setattr(simulate, "_replicate_block", failing_block)
+    starts = count_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        with pytest.raises(DegenerateTestError) as exc:
+            STUDIES["power"](workers)
+        assert str(exc.value) == f"replicate {min(failing)} is degenerate"
+        assert multiprocessing.active_children() == []
+    assert starts == [{"max_workers": 1}]
 
 
 def test_estimation_aborts_when_tau_unreachable():
