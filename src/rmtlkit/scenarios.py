@@ -116,23 +116,31 @@ def scenario(id: str, n0: int, n1: int, censor_target: int = 0, p1: float = 0.7)
 
 
 def _cum_hazard_inverse(pieces: tuple[WeibullPiece, ...], v: np.ndarray) -> np.ndarray:
-    """Invert the spliced cumulative hazard at values v >= 0."""
-    out = np.empty_like(v)
-    base = 0.0
-    lo = 0.0
-    remaining = np.ones(v.shape, dtype=bool)
+    """Invert the spliced cumulative hazard at values v >= 0.
+
+    Each piece is inverted on the whole array and selected where it
+    covers ``v``. The earliest covering piece wins, so the pieces are
+    written from the last back; values no piece covers stay inf.
+    """
+    bounds, base, lo = [], 0.0, 0.0
     for piece in pieces:
         lo_h = (lo / piece.scale) ** piece.shape
         if math.isinf(piece.upper):
             top = math.inf
         else:
             top = base + (piece.upper / piece.scale) ** piece.shape - lo_h
-        take = remaining & (v <= top)
-        out[take] = piece.scale * (v[take] - base + lo_h) ** (1.0 / piece.shape)
-        remaining &= ~take
+        bounds.append((base, lo_h, top))
         base = top
         lo = piece.upper
-    out[remaining] = np.inf
+    out = np.full(v.shape, np.inf)
+    inverse = np.empty(v.shape)
+    for piece, (base, lo_h, top) in zip(reversed(pieces), reversed(bounds)):
+        # scale * (v - base + lo_h) ** (1 / shape), in place
+        np.subtract(v, base, out=inverse)
+        inverse += lo_h
+        inverse **= 1.0 / piece.shape
+        inverse *= piece.scale
+        np.copyto(out, inverse, where=v <= top)
     return out
 
 
@@ -171,54 +179,52 @@ def _cause1_share(spec: ScenarioSpec, group: int) -> float:
 
 def _failure_times(spec: ScenarioSpec, group: int, cause: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Failure times given the event types ``cause``, by exact inverse
-    CDF of the failure-time uniforms ``u`` (any shape)."""
-    times = np.empty(u.shape)
-    is1 = cause == 1
+    CDF of the failure-time uniforms ``u`` (any shape). Both causes'
+    transforms run on the whole array, in place, and ``np.copyto``
+    selects per subject: each value takes the same operations as it
+    would alone."""
+    # -log1p(-u): a unit exponential
+    times = np.negative(u)
+    np.log1p(times, out=times)
+    np.negative(times, out=times)
     if spec.id in _THETA and group == 1:
         rate = math.exp(_THETA[spec.id])
-        # cause 1: exact inverse of the conditional subdistribution CDF
-        v = u[is1] * _cause1_share(spec, group)
-        inner = 1.0 - (1.0 - v) ** (1.0 / rate)
-        times[is1] = -np.log1p(-np.clip(inner / spec.p1, 0.0, 1.0 - 1e-16))
         # cause 2: exponential with rate exp(theta)
-        times[~is1] = -np.log1p(-u[~is1]) / rate
-    elif spec.id in ("A", "B", "C"):
-        # both causes are unit exponential given the type
-        times[...] = -np.log1p(-u)
-    else:
-        times[...] = _cum_hazard_inverse(_PIECES[spec.id][group], -np.log1p(-u))
+        times /= rate
+        # cause 1: exact inverse of the conditional subdistribution CDF,
+        # -log1p(-clip((1 - (1 - u * share) ** (1 / rate)) / p1))
+        inner = u * _cause1_share(spec, group)
+        np.subtract(1.0, inner, out=inner)
+        inner **= 1.0 / rate
+        np.subtract(1.0, inner, out=inner)
+        inner /= spec.p1
+        np.clip(inner, 0.0, 1.0 - 1e-16, out=inner)
+        np.negative(inner, out=inner)
+        np.log1p(inner, out=inner)
+        np.negative(inner, out=inner)
+        np.copyto(times, inner, where=cause == 1)
+    elif spec.id not in ("A", "B", "C"):
+        times = _cum_hazard_inverse(_PIECES[spec.id][group], times)
     return times
 
 
 def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
     """Latent event types and failure times for one arm, uncensored."""
-    # the cause uniforms die at the comparison, before np.where allocates
-    cause = np.where(rng.random(n) < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    cause = (rng.random(n) >= _cause1_share(spec, group)).astype(np.int64) + 1
     return cause, _failure_times(spec, group, cause, rng.random(n))
 
 
 def _observe(spec: ScenarioSpec, group: int, u: np.ndarray, bound: float | None) -> tuple:
     """Observed times and event codes from raw uniforms: types from ``u[0]``,
     failure times from ``u[1]``, censoring on (0, ``bound``) from ``u[2]``."""
-    cause = np.where(u[0] < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    # type 1 below the arm's cause-1 share, else 2
+    cause = (u[0] >= _cause1_share(spec, group)).astype(np.int64) + 1
     times = _failure_times(spec, group, cause, u[1])
     if bound is None:
         return times, cause
     c = bound * u[2]  # rng.uniform's 0.0 + bound * u, bit for bit
-    return np.minimum(times, c), np.where(times <= c, cause, 0)
-
-
-def _draw_rows(spec: ScenarioSpec, group: int, rngs, n: int, bound: float | None) -> tuple:
-    """One arm for ``generate_group``: ``n`` subjects per generator in
-    ``rngs``, one row each. A row draws n cause, n failure-time and, when
-    censored, n censoring uniforms, the layout ``simulate._replicate_block``
-    fills for both arms of a replicate in one call; then all rows pass
-    through ``_observe`` at once."""
-    u = np.empty((2 if bound is None else 3, len(rngs), n))
-    for r, rng in enumerate(rngs):
-        for row in u[:, r]:
-            rng.random(out=row)
-    return _observe(spec, group, u, bound)
+    event = cause * (times <= c)
+    return np.minimum(times, c, out=times), event
 
 
 def generate_group(spec: ScenarioSpec, group: int, n: int, rng) -> GroupSample:
@@ -227,7 +233,10 @@ def generate_group(spec: ScenarioSpec, group: int, n: int, rng) -> GroupSample:
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
     bound = calibrate_censoring(spec, spec.censor_target, group)
-    time, event = _draw_rows(spec, group, [rng], n, bound)
+    # the layout of a replicate's arm: n cause, n failure-time and, when
+    # censored, n censoring uniforms, through simulate's block transform
+    planes = 2 if bound is None else 3
+    time, event = _observe(spec, group, rng.random(planes * n).reshape(planes, 1, n), bound)
     return GroupSample(time[0], event[0], group)
 
 

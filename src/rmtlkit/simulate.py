@@ -16,11 +16,14 @@ validation targets ``TARGET_POWER`` from ``PILOT_REPS`` pilot replicates
 per round, re-runs the pilot ``REFINEMENTS`` times, and stops with
 ``InfeasibleDesignError`` at a design above ``MAX_ARM`` per arm.
 
-Every replicate draws from its own counter-derived substream (numpy
-PCG64 seeded by SeedSequence(seed, spawn_key=(phase, index))): per arm,
+Every replicate draws from its own counter-derived substream, the numpy
+PCG64 that SeedSequence(seed, spawn_key=(phase, index)) seeds: per arm,
 control first, n cause, then n failure-time, then (when censored) n
-censoring uniforms. Results do not depend on the worker count, execution
-order or block shape, and every metric carries a Monte-Carlo SE.
+censoring uniforms. The engine derives each substream's PCG64 state
+itself, a block's in one array pass (``_pcg64_states``), bit-identical
+to that SeedSequence, and makes no SeedSequence per replicate. Results
+do not depend on the worker count, execution order or block shape, and
+every metric carries a Monte-Carlo SE.
 
 This module owns the draws and the restriction-time rule only.
 Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows and
@@ -160,10 +163,92 @@ class SimulationReport:
         ]
 
 
-def _rng_for(seed: int, phase: int, index: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(phase, index))
+# numpy's SeedSequence mixing (O'Neill's seed_seq_fe) and PCG64 seeding
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of ``n``, least significant first, as SeedSequence
+    splits an entropy or spawn-key integer."""
+    if n < 0:
+        raise ValueError(f"seeds and spawn keys must be non-negative (got {n})")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """seed_seq_fe's hash of ``value`` (an int, or a uint64 array of 32-bit
+    words) under the hash constant ``const``; returns the hash and the
+    next constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """seed_seq_fe's mix of pool word ``x`` with hashed word ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _pcg64_states(seed: int, phase: int, indices) -> list:
+    """The PCG64 ``.state`` of substream ``(phase, i)`` of ``seed`` for each
+    ``i`` in ``indices``: what ``PCG64(SeedSequence(seed, spawn_key=(phase,
+    i)))`` holds, bit for bit, for indices below 2^32.
+
+    The entropy pool of the seed and phase words is mixed once, in Python
+    ints; the index word and ``generate_state(4, uint64)``'s eight output
+    words are mixed across the block as uint64 arrays of 32-bit words;
+    the 128-bit LCG seeding step (``pcg64_srandom_r``) runs per row.
+    """
+    if len(indices) and not 0 <= min(indices) <= max(indices) <= _MASK32:
+        # a larger index is two spawn-key words, a different substream
+        raise ValueError("substream indices must lie in [0, 2**32)")
+    seed_words = _words(seed)
+    # a spawn key pads the seed's words with zeros to the pool size of 4
+    entropy = seed_words + [0] * (4 - len(seed_words)) + _words(phase)
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    # the words past the pool, then every row's index word as one array
+    for word in entropy[4:] + [np.array(indices, dtype=np.uint64)]:
+        for dst in range(4):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    const, out = _INIT_B, []
+    for k in range(8):
+        word, const = _hashmix(pool[k % 4], const, _MULT_B)
+        out.append(word)
+    # generate_state's uint64 words, low 32-bit word first: the initial
+    # state's high and low halves, then the stream's
+    state_hi, state_lo, seq_hi, seq_lo = (
+        (out[k] | out[k + 1] << 32).tolist() for k in (0, 2, 4, 6)
     )
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
 
 
 def _replicate_block(
@@ -176,8 +261,11 @@ def _replicate_block(
     """Replicates for the substream indices in ``indices``, one row each.
 
     Row ``r`` draws ``spec.n0``/``spec.n1`` subjects from substream
-    ``(phase, indices[r])`` of ``seed`` and tests the RMTL difference at
-    ``fixed_tau`` or, without one, at the min-max restriction time.
+    ``(phase, indices[r])`` of ``seed`` (indices below 2^32): the stream of
+    numpy's ``SeedSequence(seed, spawn_key=(phase, indices[r]))``, from
+    a state this module derives itself (``_pcg64_states``). It tests the
+    RMTL difference at ``fixed_tau`` or, without one, at the min-max
+    restriction time.
     Gray's test runs only where a study reads it: at the min-max
     restriction time outside the pilot phase; elsewhere ``gray_p`` is
     NaN. Returns one array per name in ``_FIELDS`` plus the ``unusable``
@@ -197,8 +285,13 @@ def _replicate_block(
     # censoring planes, then arm 1's, the order generate_group draws them
     planes = [2 if bounds[g] is None else 3 for g in (0, 1)]
     u = np.empty((rows, planes[0] * n0 + planes[1] * n1))
-    for r, i in enumerate(indices):
-        _rng_for(seed, phase, i).random(out=u[r])
+    # one generator per block, set to each row's substream in turn; made
+    # here, not at import, so that loading this module loads no numpy.random
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for r, state in enumerate(_pcg64_states(seed, phase, indices)):
+        bit_generator.state = state
+        generator.random(out=u[r])
     t = np.empty((rows, n0 + n1))
     e = np.empty((rows, n0 + n1), dtype=np.int64)
     arm0 = u[:, : planes[0] * n0].reshape(rows, planes[0], n0).transpose(1, 0, 2)

@@ -13,6 +13,12 @@ hazards family behind scenarios B and C: the treatment arm's cause-1 and
 cause-2 cumulative incidences (``sdh_cause1_cif``, ``sdh_cause2_cif``)
 and the true RMTL difference at ``tau`` by quadrature (``sdh_delta``),
 which re-derives the package's ``THETA_B`` and ``THETA_C``.
+
+For the simulation engine's draws it keeps two references: numpy's own
+generator for substream ``(phase, index)`` of a seed (``rng_for``),
+which the engine's ported substream seeding must equal, and the
+gather-based draw transform (``failure_times``, ``cum_hazard_inverse``
+and ``observe``) that the engine's whole-array one replaced.
 """
 
 import math
@@ -24,6 +30,7 @@ from scipy.special import chdtrc
 from rmtlkit import DegenerateTestError, EventTable, GrayResult, GroupSample
 from rmtlkit.data import EVENT_CENSORED, EVENT_COMPETING, EVENT_INTEREST
 from rmtlkit.estimators import CifPair
+from rmtlkit.scenarios import _PIECES, _THETA, _cause1_share
 
 
 # each curve's value before the first event time
@@ -258,3 +265,61 @@ def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
         limit=200,
     )
     return float(val)
+
+
+def rng_for(seed: int, phase: int, index: int):
+    """numpy's generator for substream ``(phase, index)`` of ``seed``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(phase, index))
+    )
+
+
+def cum_hazard_inverse(pieces, v: np.ndarray) -> np.ndarray:
+    """Invert the spliced cumulative hazard at values v >= 0."""
+    out = np.empty_like(v)
+    base = 0.0
+    lo = 0.0
+    remaining = np.ones(v.shape, dtype=bool)
+    for piece in pieces:
+        lo_h = (lo / piece.scale) ** piece.shape
+        if math.isinf(piece.upper):
+            top = math.inf
+        else:
+            top = base + (piece.upper / piece.scale) ** piece.shape - lo_h
+        take = remaining & (v <= top)
+        out[take] = piece.scale * (v[take] - base + lo_h) ** (1.0 / piece.shape)
+        remaining &= ~take
+        base = top
+        lo = piece.upper
+    out[remaining] = np.inf
+    return out
+
+
+def failure_times(spec, group: int, cause: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Failure times given the event types ``cause``, by exact inverse
+    CDF of the failure-time uniforms ``u``, each cause's subjects
+    gathered, transformed and scattered back."""
+    times = np.empty(u.shape)
+    is1 = cause == 1
+    if spec.id in _THETA and group == 1:
+        rate = math.exp(_THETA[spec.id])
+        v = u[is1] * _cause1_share(spec, group)
+        inner = 1.0 - (1.0 - v) ** (1.0 / rate)
+        times[is1] = -np.log1p(-np.clip(inner / spec.p1, 0.0, 1.0 - 1e-16))
+        times[~is1] = -np.log1p(-u[~is1]) / rate
+    elif spec.id in ("A", "B", "C"):
+        times[...] = -np.log1p(-u)
+    else:
+        times[...] = cum_hazard_inverse(_PIECES[spec.id][group], -np.log1p(-u))
+    return times
+
+
+def observe(spec, group: int, u: np.ndarray, bound) -> tuple:
+    """Observed times and event codes from raw uniforms: types from
+    ``u[0]``, failure times from ``u[1]``, censoring from ``u[2]``."""
+    cause = np.where(u[0] < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    times = failure_times(spec, group, cause, u[1])
+    if bound is None:
+        return times, cause
+    c = bound * u[2]
+    return np.minimum(times, c), np.where(times <= c, cause, 0)

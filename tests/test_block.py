@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scalar_oracle as oracle
 
 from rmtlkit import DegenerateTestError, gray_test, rmtld_test, scenarios, select_tau, simulate
 from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, generate_group, scenario
@@ -29,7 +30,7 @@ def scalar_replicate(spec, i, phase=0, fixed_tau=None):
     """Replicate ``i`` through the public one-sample functions: None when
     the follow-up ends before ``fixed_tau``, else ``(rmtld, gray)``, with
     Gray's test where a block runs it (min-max tau, not the pilot)."""
-    rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(phase, i)))
+    rng = oracle.rng_for(SEED, phase, i)
     s0 = generate_group(spec, 0, spec.n0, rng)
     s1 = generate_group(spec, 1, spec.n1, rng)
     gray = fixed_tau is None and phase != simulate._PHASE_PILOT
@@ -110,7 +111,7 @@ def test_tied_rows_match_the_scalar_path(monkeypatch, decimals):
     spec = scenario("C", 25, 25, 30)
 
     def has_tie(i):
-        rng = simulate._rng_for(SEED, 0, i)
+        rng = oracle.rng_for(SEED, 0, i)
         pooled = np.concatenate([generate_group(spec, g, 25, rng).time for g in (0, 1)])
         return np.unique(pooled).size < pooled.size
 
@@ -160,22 +161,24 @@ def substream_arm(spec, group, n, rng):
 
 
 def test_block_draw_keeps_the_substream_layout(monkeypatch):
-    # the subjects a block hands the kernel, and the state each row's
-    # generator is left in, match per-row generate_group (control arm
-    # first) and the substream contract, bit for bit
-    drawn, made = [], []
-    rng_for = simulate._rng_for
+    # the subjects a block hands the kernel, and the state the block's
+    # generator is left in after each row's fill, match per-row
+    # generate_group (control arm first) on numpy's own substream
+    # generator and the substream contract, bit for bit
+    drawn, filled = [], []
 
     def kernel(t, e, n0, tau, alpha, gray, usable):
         drawn.append((t.copy(), e.copy()))
         return dict.fromkeys(_FIELDS, np.zeros(len(t)))
 
-    def spy_rng(*key):
-        made.append(rng_for(*key))
-        return made[-1]
+    class Recording(np.random.Generator):
+        def random(self, *args, **kwargs):
+            out = super().random(*args, **kwargs)
+            filled.append(self.bit_generator.state)
+            return out
 
     monkeypatch.setattr(simulate, "_rmtld_rows", kernel)
-    monkeypatch.setattr(simulate, "_rng_for", spy_rng)
+    monkeypatch.setattr(np.random, "Generator", Recording)
     n0, n1 = 37, 29
     shuffled = np.random.default_rng(3).permutation(40)[:13].tolist()
     for sid in SCENARIO_IDS:
@@ -183,12 +186,13 @@ def test_block_draw_keeps_the_substream_layout(monkeypatch):
             spec = scenario(sid, n0, n1, cr)
             for indices in ([11], shuffled):
                 drawn.clear()
-                made.clear()
+                filled.clear()
                 _replicate_block(spec, SEED, indices, phase=simulate._PHASE_POWER)
                 (t, e), = drawn
+                assert len(filled) == len(indices)
                 for r, i in enumerate(indices):
-                    rng = rng_for(SEED, simulate._PHASE_POWER, i)
-                    ref = rng_for(SEED, simulate._PHASE_POWER, i)
+                    rng = oracle.rng_for(SEED, simulate._PHASE_POWER, i)
+                    ref = oracle.rng_for(SEED, simulate._PHASE_POWER, i)
                     for g, cols in ((0, slice(0, n0)), (1, slice(n0, n0 + n1))):
                         sample = generate_group(spec, g, cols.stop - cols.start, rng)
                         want = substream_arm(spec, g, cols.stop - cols.start, ref)
@@ -196,4 +200,4 @@ def test_block_draw_keeps_the_substream_layout(monkeypatch):
                             assert got[0].tobytes() == want[0].tobytes(), (sid, cr, i, g)
                             assert got[1].tobytes() == want[1].tobytes(), (sid, cr, i, g)
                     state = ref.bit_generator.state
-                    assert rng.bit_generator.state == state == made[r].bit_generator.state
+                    assert rng.bit_generator.state == state == filled[r]

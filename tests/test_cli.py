@@ -183,6 +183,23 @@ def test_cli_loads_no_scipy(fixture_csv, tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_analyze_loads_no_numpy_random(fixture_csv):
+    # the simulation engine builds its generators per block, so neither
+    # importing the CLI nor analyzing a file loads numpy.random
+    code = (
+        "import sys, rmtlkit.cli as cli\n"
+        "assert cli.main(['analyze', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(fixture_csv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_analyze_identical_groups(tmp_path, capsys):
     path = tmp_path / "same.csv"
     lines = ["time,event,group"]

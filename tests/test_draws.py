@@ -1,0 +1,107 @@
+"""The simulation engine's draws against their references in
+``scalar_oracle.py``: the ported substream seeding against numpy's own
+``SeedSequence`` and ``PCG64``, and the whole-array draw transform
+against the gather-based one it replaced. Both must match bit for bit."""
+
+import numpy as np
+import pytest
+import scalar_oracle as oracle
+
+from rmtlkit import scenarios, simulate
+from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
+
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 9, 2**130 + 1, 20261018]
+INDICES = [*range(41), 65535, 2**31, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_states_match_numpy(seed):
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for phase in range(3):
+        states = simulate._pcg64_states(seed, phase, INDICES)
+        assert len(states) == len(INDICES)
+        for i, state in zip(INDICES, states):
+            ref = oracle.rng_for(seed, phase, i)
+            assert state == ref.bit_generator.state, (seed, phase, i)
+            bit_generator.state = state
+            assert generator.random(5).tobytes() == ref.random(5).tobytes(), (seed, phase, i)
+            assert bit_generator.state == ref.bit_generator.state, (seed, phase, i)
+
+
+def test_substream_index_out_of_range_raises():
+    # an index of 2^32 or more is two spawn-key words: a different
+    # substream layout, so it must not be seeded as if it were one
+    for indices in ([2**32], [0, 2**32 + 5], [-1]):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate._pcg64_states(3, 0, indices)
+    with pytest.raises(ValueError):
+        simulate._pcg64_states(-1, 0, [0])
+    with pytest.raises(ValueError):
+        simulate._replicate_block(scenario("C", 5, 5), 3, [2**32])
+    assert simulate._pcg64_states(3, 0, []) == []
+
+
+def block_uniforms(n, planes, seed):
+    """32 rows of ``planes`` x n uniforms, with 0.0, 0.5 and 1 - 2^-53 in
+    every plane, row 0 all cause 1 and row 1 all cause 2."""
+    u = np.random.default_rng(seed).random((planes, 32, n))
+    u[:, :, :3] = [0.0, 0.5, 1.0 - 2.0**-53]
+    u[0, 0] = 0.0
+    u[0, 1] = 1.0 - 2.0**-53
+    return u
+
+
+def assert_same_bytes(got, want, label):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), label
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_draw_transform_matches_the_gather_form(sid):
+    for cr in CENSOR_TARGETS:
+        spec = scenario(sid, 40, 40, cr)
+        for group in (0, 1):
+            bound = scenarios.calibrate_censoring(spec, cr, group)
+            planes = 2 if bound is None else 3
+            u = block_uniforms(57, planes, seed=ord(sid) * 100 + cr + group)
+            label = (sid, cr, group)
+            got = scenarios._observe(spec, group, u, bound)
+            assert_same_bytes(got, oracle.observe(spec, group, u, bound), label)
+            assert (got[1][0] != 2).all() and (got[1][1] != 1).all(), label
+            # a block's arms are strided views of its rows' fills
+            rows = np.empty((32, 2 * planes * 57))
+            rows[:, : planes * 57] = u.transpose(1, 0, 2).reshape(32, -1)
+            arm = rows[:, : planes * 57].reshape(32, planes, 57).transpose(1, 0, 2)
+            assert_same_bytes(scenarios._observe(spec, group, arm, bound), got, label)
+            cause = (u[0] >= scenarios._cause1_share(spec, group)).astype(np.int64) + 1
+            assert_same_bytes(
+                [scenarios._failure_times(spec, group, cause, u[1])],
+                [oracle.failure_times(spec, group, cause, u[1])],
+                label,
+            )
+
+
+@pytest.mark.parametrize("sid", sorted(scenarios._PIECES))
+def test_hazard_inverse_matches_the_gather_form(sid):
+    for pieces in scenarios._PIECES[sid]:
+        v = -np.log1p(-block_uniforms(57, 1, seed=ord(sid))[0])
+        # the first piece's top and its neighbours, then inf and NaN
+        top = (pieces[0].upper / pieces[0].scale) ** pieces[0].shape
+        edges = [0.0, top, np.nextafter(top, 0.0), np.nextafter(top, np.inf), np.inf, np.nan]
+        v[2, : len(edges)] = edges
+        got = scenarios._cum_hazard_inverse(pieces, v)
+        assert_same_bytes([got], [oracle.cum_hazard_inverse(pieces, v)], sid)
+        assert np.isinf(got[2, 4:6]).all()
+
+
+@pytest.mark.parametrize("sid, group", [("C", 1), ("D", 0), ("D", 1), ("F", 0), ("F", 1)])
+def test_calibration_draws_match_the_gather_form(sid, group):
+    spec = scenario(sid, 10, 10)
+    n = scenarios._CAL_DRAWS
+    cause, times = scenarios._draw_failures(spec, group, n, np.random.default_rng(41))
+    ref = np.random.default_rng(41)
+    want_cause = np.where(ref.random(n) < scenarios._cause1_share(spec, group), 1, 2)
+    want_cause = want_cause.astype(np.int64)
+    want = oracle.failure_times(spec, group, want_cause, ref.random(n))
+    assert_same_bytes([cause, times], [want_cause, want], (sid, group))

@@ -132,7 +132,7 @@ def test_block_rows_match_the_oracle(monkeypatch, gray):
     phase = simulate._PHASE_MAIN if gray else simulate._PHASE_PILOT
     got = simulate._replicate_block(spec, seed, range(rows), phase=phase)
     for i in range(rows):
-        rng = simulate._rng_for(seed, phase, i)
+        rng = oracle.rng_for(seed, phase, i)
         s0, s1 = (generate_group(spec, g, 25, rng) for g in (0, 1))
         tau = select_tau(s0, s1)
         (mu0, var0), (mu1, var1) = (
