@@ -299,10 +299,6 @@ def _read_rows(handle, time_col, event_col, group_col, event_codes, group_codes)
     return np.array(times), np.array(events, dtype=np.int64), np.array(groups, dtype=np.int64)
 
 
-class _Decline(Exception):
-    """The C reader leaves this file to the row loop."""
-
-
 def _read_clean(handle, feed, time_col, event_col, group_col):
     """The columns of a clean file by ``np.loadtxt``, or None to leave the
     file to the row loop: on a reader error, a cell the loop would refuse, a
@@ -323,7 +319,7 @@ def _read_clean(handle, feed, time_col, event_col, group_col):
         return None
     try:
         if not _scan_body(handle, csv.field_size_limit()):
-            return None  # no data row (np.loadtxt would warn)
+            return None  # no data row, or a field past csv's limit
         handle.seek(0)
         usecols = (ti, ei) if gi is None else (ti, ei, gi)
         table = np.loadtxt(feed, delimiter=",", comments=None, quotechar='"', usecols=usecols,
@@ -344,10 +340,11 @@ def _read_clean(handle, feed, time_col, event_col, group_col):
 
 
 def _scan_body(handle, limit):
-    """Whether the rest of ``handle`` holds a data row, read in chunks.
-    Raises :class:`_Decline` where a field could exceed ``csv``'s ``limit``:
-    on a line of ``limit`` or more characters, or when a quote (a quoted
-    field may span lines) is in a body longer than ``limit``."""
+    """Whether numpy may read the rest of ``handle``, read in chunks: False
+    when it holds no data row (np.loadtxt would warn), or where a field
+    could exceed ``csv``'s ``limit``: on a line of ``limit`` or more
+    characters, or when a quote (a quoted field may span lines) is in a
+    body longer than ``limit``."""
     read, line, quoted, rows = 0, 0, False, False
     for chunk in iter(lambda: handle.read(_CHUNK_CHARS), ""):
         read += len(chunk)
@@ -360,10 +357,10 @@ def _scan_body(handle, limit):
             lengths = list(map(len, chunk.replace("\r", "\n").split("\n")))
             lengths[0] += line
             if max(lengths) >= limit:
-                raise _Decline
+                return False
             line = lengths[-1]
         if quoted and read > limit:
-            raise _Decline
+            return False
     return rows
 
 

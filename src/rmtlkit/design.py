@@ -70,15 +70,20 @@ def sample_size(inp: DesignInput) -> DesignResult:
     n0 = (z_{1-beta} + z_{1-alpha/2})^2 (sigma0^2 + sigma1^2 / r) / delta^2,
     then n1 = r * n0; each arm is ceiled separately (and floored at 2,
     the minimum for inference), so fractional ratios never undershoot
-    the power target in either arm.
+    the power target in either arm. A design whose n0 or n1 is not
+    finite raises ``InfeasibleDesignError``.
     """
     za = _ndtri(1.0 - inp.alpha / 2.0)
     zb = _ndtri(inp.power)
-    n0_real = (
-        (zb + za) ** 2
-        * (inp.sigma0_sq + inp.sigma1_sq / inp.ratio)
-        / (inp.delta ** 2)
-    )
+    delta_sq = inp.delta ** 2  # underflows to 0 below about 1e-162
+    n0_real = math.inf
+    if delta_sq:
+        n0_real = (zb + za) ** 2 * (inp.sigma0_sq + inp.sigma1_sq / inp.ratio) / delta_sq
+    if not math.isfinite(inp.ratio * n0_real):
+        raise InfeasibleDesignError(
+            f"no finite design: n0 = {n0_real:.6g}, n1 = {inp.ratio * n0_real:.6g} "
+            f"(delta {inp.delta:.6g}, alpha {inp.alpha:.6g})"
+        )
     n0 = max(2, math.ceil(n0_real - 1e-12))
     n1 = max(2, math.ceil(inp.ratio * n0_real - 1e-12))
     return DesignResult(n0=n0, n1=n1)

@@ -144,28 +144,6 @@ def _cum_hazard_inverse(pieces: tuple[WeibullPiece, ...], v: np.ndarray) -> np.n
     return out
 
 
-def _cum_hazard(pieces: tuple[WeibullPiece, ...], t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    base = 0.0
-    lo = 0.0
-    for piece in pieces:
-        lo_h = (lo / piece.scale) ** piece.shape
-        seg = np.clip(t, lo, piece.upper)
-        inside = t > lo
-        out = np.where(inside, base + (seg / piece.scale) ** piece.shape - lo_h, out)
-        if math.isinf(piece.upper):
-            break
-        base = base + (piece.upper / piece.scale) ** piece.shape - lo_h
-        lo = piece.upper
-    return out
-
-
-def piecewise_cdf(pieces: tuple[WeibullPiece, ...], t) -> np.ndarray:
-    """Conditional failure-time CDF implied by the spliced hazard."""
-    return 1.0 - np.exp(-_cum_hazard(pieces, np.asarray(t, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -19,9 +19,10 @@ per round, re-runs the pilot ``REFINEMENTS`` times, and stops with
 Every replicate draws from its own counter-derived substream, the numpy
 PCG64 that SeedSequence(seed, spawn_key=(phase, index)) seeds: per arm,
 control first, n cause, then n failure-time, then (when censored) n
-censoring uniforms. The engine derives each substream's PCG64 state
-itself, a block's in one array pass (``_pcg64_states``), bit-identical
-to that SeedSequence, and makes no SeedSequence per replicate. Results
+censoring uniforms. numpy's SeedSequence mixes the seed and phase words
+a block shares, once per block; the engine ports only the per-index
+step, each row's in one array pass (``_pcg64_states``), bit-identical to
+the row's SeedSequence, and makes no SeedSequence per replicate. Results
 do not depend on the worker count, execution order or block shape, and
 every metric carries a Monte-Carlo SE.
 
@@ -172,17 +173,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _words(n: int) -> list:
-    """The 32-bit words of ``n``, least significant first, as SeedSequence
-    splits an entropy or spawn-key integer."""
-    if n < 0:
-        raise ValueError(f"seeds and spawn keys must be non-negative (got {n})")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _hashmix(value, const: int, mult: int):
     """seed_seq_fe's hash of ``value`` (an int, or a uint64 array of 32-bit
     words) under the hash constant ``const``; returns the hash and the
@@ -193,42 +183,31 @@ def _hashmix(value, const: int, mult: int):
     return value ^ value >> 16, const
 
 
-def _mix(x, y):
-    """seed_seq_fe's mix of pool word ``x`` with hashed word ``y``."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
 def _pcg64_states(seed: int, phase: int, indices) -> list:
     """The PCG64 ``.state`` of substream ``(phase, i)`` of ``seed`` for each
     ``i`` in ``indices``: what ``PCG64(SeedSequence(seed, spawn_key=(phase,
     i)))`` holds, bit for bit, for indices below 2^32.
 
-    The entropy pool of the seed and phase words is mixed once, in Python
-    ints; the index word and ``generate_state(4, uint64)``'s eight output
-    words are mixed across the block as uint64 arrays of 32-bit words;
-    the 128-bit LCG seeding step (``pcg64_srandom_r``) runs per row.
+    seed_seq_fe mixes entropy words in order, so numpy's
+    ``SeedSequence(seed, spawn_key=(phase,))`` holds the pool every row
+    shares. Only the per-index step is ported: each row's index word and
+    ``generate_state(4, uint64)``'s eight output hashes, mixed across the
+    block as uint64 arrays, then the 128-bit LCG seeding step
+    (``pcg64_srandom_r``) per row.
     """
     if len(indices) and not 0 <= min(indices) <= max(indices) <= _MASK32:
         # a larger index is two spawn-key words, a different substream
         raise ValueError("substream indices must lie in [0, 2**32)")
-    seed_words = _words(seed)
-    # a spawn key pads the seed's words with zeros to the pool size of 4
-    entropy = seed_words + [0] * (4 - len(seed_words)) + _words(phase)
-    const, pool = _INIT_A, []
-    for word in entropy[:4]:
-        word, const = _hashmix(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    # the words past the pool, then every row's index word as one array
-    for word in entropy[4:] + [np.array(indices, dtype=np.uint64)]:
-        for dst in range(4):
-            hashed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
+    pool = np.random.SeedSequence(seed, spawn_key=(phase,)).pool.tolist()
+    # the hash constant after the seed words (padded to the pool's 4) and the
+    # one phase word: 16 hashes fill and cross-mix the pool, 4 per word past it
+    words = max(4, -(-int(seed).bit_length() // 32)) + 1
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    index = np.array(indices, dtype=np.uint64)
+    for dst in range(4):
+        hashed, const = _hashmix(index, const, _MULT_A)
+        value = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
+        pool[dst] = value ^ value >> 16
     const, out = _INIT_B, []
     for k in range(8):
         word, const = _hashmix(pool[k % 4], const, _MULT_B)
@@ -262,8 +241,9 @@ def _replicate_block(
 
     Row ``r`` draws ``spec.n0``/``spec.n1`` subjects from substream
     ``(phase, indices[r])`` of ``seed`` (indices below 2^32): the stream of
-    numpy's ``SeedSequence(seed, spawn_key=(phase, indices[r]))``, from
-    a state this module derives itself (``_pcg64_states``). It tests the
+    numpy's ``SeedSequence(seed, spawn_key=(phase, indices[r]))``, set
+    from ``_pcg64_states``: one SeedSequence of the block's shared seed
+    and phase words, and the per-index step across the rows. It tests the
     RMTL difference at ``fixed_tau`` or, without one, at the min-max
     restriction time.
     Gray's test runs only where a study reads it: at the min-max

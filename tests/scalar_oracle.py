@@ -12,7 +12,9 @@ It also holds the closed forms of the proportional subdistribution
 hazards family behind scenarios B and C: the treatment arm's cause-1 and
 cause-2 cumulative incidences (``sdh_cause1_cif``, ``sdh_cause2_cif``)
 and the true RMTL difference at ``tau`` by quadrature (``sdh_delta``),
-which re-derives the package's ``THETA_B`` and ``THETA_C``.
+which re-derives the package's ``THETA_B`` and ``THETA_C``; and the
+spliced cumulative hazard (``cum_hazard``) and conditional failure-time
+CDF (``piecewise_cdf``) of the piecewise Weibull scenarios D-F.
 
 For the simulation engine's draws it keeps two references: numpy's own
 generator for substream ``(phase, index)`` of a seed (``rng_for``),
@@ -265,6 +267,30 @@ def sdh_delta(theta: float, tau: float = 4.0, p1: float = 0.7) -> float:
         limit=200,
     )
     return float(val)
+
+
+def cum_hazard(pieces, t) -> np.ndarray:
+    """The spliced cumulative hazard of a piecewise Weibull scenario."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    base = 0.0
+    lo = 0.0
+    for piece in pieces:
+        lo_h = (lo / piece.scale) ** piece.shape
+        seg = np.clip(t, lo, piece.upper)
+        inside = t > lo
+        out = np.where(inside, base + (seg / piece.scale) ** piece.shape - lo_h, out)
+        if math.isinf(piece.upper):
+            break
+        base = base + (piece.upper / piece.scale) ** piece.shape - lo_h
+        lo = piece.upper
+    return out
+
+
+def piecewise_cdf(pieces, t) -> np.ndarray:
+    """Conditional failure-time CDF implied by the spliced hazard of
+    scenarios D-F."""
+    return 1.0 - np.exp(-cum_hazard(pieces, t))
 
 
 def rng_for(seed: int, phase: int, index: int):

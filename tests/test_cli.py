@@ -424,6 +424,20 @@ def test_samplesize_delta_zero_exit_3(capsys):
                  "--sigma1-sq", "1"]) == 3
 
 
+@pytest.mark.parametrize("extra", [
+    ["--delta", "1e-160"],
+    ["--delta", "1e-300"],
+    ["--delta", "0.5", "--alpha", "1e-17"],
+    ["--delta", "1e-3", "--ratio", "1e308"],
+    ["--delta", "0.5", "--sigma0-sq", "1e308", "--sigma1-sq", "1e308"],
+])
+def test_samplesize_not_finite_exit_3(capsys, extra):
+    # a later --sigma0-sq/--sigma1-sq overrides the defaults before it
+    assert main(["samplesize", "--sigma0-sq", "1", "--sigma1-sq", "1", *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no finite design") and err.count("\n") == 1
+
+
 def test_samplesize_conflicting_inputs_exit_2(tmp_path, capsys):
     pilot = tmp_path / "p.csv"
     pilot.write_text("time,event\n1,1\n2,2\n3,1\n")

@@ -15,7 +15,9 @@ import io
 import linecache
 import math
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import csv_oracle
 import numpy as np
@@ -184,3 +186,17 @@ def test_parser_matches_dictreader_oracle(tmp_path, monkeypatch):
     assert kinds["ok"] >= 300 and kinds["RowError"] >= 300, kinds
     assert kinds.get("SchemaError", 0) >= 50 and kinds.get("Error", 0) >= 10, kinds
     assert _strict_int.fired >= 50
+
+
+def test_fuzzer_finds_no_difference():
+    # fuzz_csv.py patches numpy and changes directory, so it runs in a
+    # process of its own
+    fuzzer = Path(__file__).with_name("fuzz_csv.py")
+    run = subprocess.run(
+        [sys.executable, str(fuzzer), "--files", "500", "--seed", "2261"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    counts = dict(line.rsplit(": ", 1) for line in run.stdout.splitlines())
+    assert counts["files"] == "500"
+    assert int(counts["C reader took"]) > 0 and int(counts["lowered field limit"]) > 0, counts

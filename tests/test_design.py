@@ -37,6 +37,27 @@ def test_sample_size_infeasible():
         DesignInput(delta=0.0, sigma0_sq=1.0, sigma1_sq=1.0)
 
 
+@pytest.mark.parametrize("inputs", [
+    {"delta": 1e-160},
+    {"delta": 1e-300},
+    {"delta": 0.5, "alpha": 1e-17},
+    {"delta": 1e-3, "ratio": 1e308},
+    {"delta": 0.5, "sigma0_sq": 1e308, "sigma1_sq": 1e308},
+])
+def test_sample_size_not_finite_is_infeasible(inputs):
+    # delta ** 2 underflows, z_{1-alpha/2} or a variance sum is infinite,
+    # or n1 = r * n0 overflows
+    design = DesignInput(**{"sigma0_sq": 1.0, "sigma1_sq": 1.0, **inputs})
+    with pytest.raises(InfeasibleDesignError, match="no finite design"):
+        sample_size(design)
+
+
+def test_sample_size_huge_but_finite():
+    # delta ** 2 = 1e-300 still gives a finite design of about 1.6e301
+    res = sample_size(DesignInput(delta=1e-150, sigma0_sq=1.0, sigma1_sq=1.0))
+    assert 10**301 < res.n0 == res.n1 < 10**302
+
+
 def test_sample_size_monotonicity():
     rng = np.random.default_rng(61)
     for _ in range(50):

@@ -10,7 +10,12 @@ import scalar_oracle as oracle
 from rmtlkit import scenarios, simulate
 from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
 
-SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 9, 2**130 + 1, 20261018]
+# 1 to 6 32-bit words, each side of every change in the word count that
+# moves the hash constant (the pool holds 4, so 1-4 words hash alike)
+SEEDS = [
+    0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**127 + 9,
+    2**128 - 1, 2**128, 2**130 + 1, 2**160 + 3, 20261018,
+]
 INDICES = [*range(41), 65535, 2**31, 2**32 - 1]
 
 
@@ -40,6 +45,24 @@ def test_substream_index_out_of_range_raises():
     with pytest.raises(ValueError):
         simulate._replicate_block(scenario("C", 5, 5), 3, [2**32])
     assert simulate._pcg64_states(3, 0, []) == []
+
+
+def test_warm_block_makes_one_seed_sequence(monkeypatch):
+    spec = scenario("C", 30, 30, 30)
+    # calibration seeds its own draws; warm its cache first
+    simulate._replicate_block(spec, 5, range(32))
+    made = []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    block = simulate._replicate_block(spec, 5, range(32, 64))
+    assert block["delta"].shape == (32,)
+    # one for the seed and phase words the rows share, none per replicate
+    assert len(made) == 1, made
 
 
 def block_uniforms(n, planes, seed):

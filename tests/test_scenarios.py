@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scalar_oracle import sdh_cause1_cif, sdh_cause2_cif, sdh_delta
+from scalar_oracle import piecewise_cdf, sdh_cause1_cif, sdh_cause2_cif, sdh_delta
 
 from rmtlkit import CalibrationError, InputError, scenarios
 from rmtlkit.scenarios import (
@@ -13,7 +13,6 @@ from rmtlkit.scenarios import (
     _PIECES,
     calibrate_censoring,
     generate_group,
-    piecewise_cdf,
     scenario,
     true_rmtld,
 )
