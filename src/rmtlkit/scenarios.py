@@ -187,9 +187,13 @@ def _failure_times(spec: ScenarioSpec, group: int, cause: np.ndarray, u: np.ndar
 
 
 def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
-    """Latent event types and failure times for one arm, uncensored."""
-    cause = (rng.random(n) >= _cause1_share(spec, group)).astype(np.int64) + 1
-    return cause, _failure_times(spec, group, cause, rng.random(n))
+    """Latent event types, one byte each, and failure times for one arm,
+    uncensored. The failure-time uniforms refill the cause uniforms'
+    buffer: the same stream as two fresh draws, with one array fewer."""
+    u = rng.random(n)
+    cause = np.add(u >= _cause1_share(spec, group), 1, dtype=np.uint8)
+    rng.random(out=u)
+    return cause, _failure_times(spec, group, cause, u)
 
 
 def _observe(spec: ScenarioSpec, group: int, u: np.ndarray, bound: float | None) -> tuple:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -321,6 +320,14 @@ def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -
         theirs = executor.map(_chunk_worker, jobs[share:], chunksize=share)
     parts = [_replicate_block(*job) for job in jobs[:share]] + list(theirs)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def ProcessPoolExecutor(**kwargs):
+    """A ``concurrent.futures`` process pool, imported when a study first
+    opens one, so serial studies never load ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**kwargs)
 
 
 @contextmanager

@@ -154,6 +154,7 @@ def substream_arm(spec, group, n, rng):
     ``rng.uniform`` when the arm is censored."""
     bound = simulate._bounds_for(spec)[group]
     cause, times = scenarios._draw_failures(spec, group, n, rng)
+    cause = cause.astype(np.int64)  # the event-code dtype of generate_group and a block
     if bound is None:
         return times, cause
     c = rng.uniform(0.0, bound, n)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -181,6 +182,44 @@ def test_cli_loads_no_scipy(fixture_csv, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_start_up_loads_no_pool_or_hash_modules(fixture_csv, tmp_path):
+    # importing the CLI loads neither the process-pool machinery nor
+    # OpenSSL, and a serial censored simulate adds no pool module and
+    # no hashing module beyond those numpy.random itself loads (its
+    # `secrets` import pulls in hmac and hashlib); analyze still digests
+    # its input
+    code = (
+        "import json, sys, rmtlkit.cli as cli\n"
+        "names = ('concurrent.futures', 'multiprocessing', 'hashlib', '_hashlib')\n"
+        "def loaded():\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "at_import = loaded()\n"
+        "assert cli.main(['simulate', '--mode', 'power', '--scenario', 'C', '--n0', '40',\n"
+        "                 '--n1', '40', '--censoring', '30', '--reps', '100',\n"
+        "                 '--workers', '1', '--out', sys.argv[1] + 'power']) == 0\n"
+        "after_simulate = loaded()\n"
+        "assert cli.main(['analyze', sys.argv[2], '--json', sys.argv[1] + 'analyze.json']) == 0\n"
+        "print(json.dumps([at_import, after_simulate]))"
+    )
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    at_import, after_simulate = json.loads(out.stdout.splitlines()[-1])
+    numpy_random = subprocess.run(
+        [sys.executable, "-c", "import json, sys, numpy.random\n"
+         "print(json.dumps([m for m in ('hashlib', '_hashlib') if m in sys.modules]))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert at_import == []
+    assert after_simulate == json.loads(numpy_random.stdout)
+    payload = json.loads((tmp_path / "study_analyze.json").read_text())
+    digest = hashlib.sha256(fixture_csv.read_bytes()).hexdigest()
+    assert payload["manifest"]["input_digests"] == {str(fixture_csv): digest}
 
 
 def test_analyze_loads_no_numpy_random(fixture_csv):

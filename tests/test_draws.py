@@ -125,6 +125,6 @@ def test_calibration_draws_match_the_gather_form(sid, group):
     cause, times = scenarios._draw_failures(spec, group, n, np.random.default_rng(41))
     ref = np.random.default_rng(41)
     want_cause = np.where(ref.random(n) < scenarios._cause1_share(spec, group), 1, 2)
-    want_cause = want_cause.astype(np.int64)
+    want_cause = want_cause.astype(np.uint8)
     want = oracle.failure_times(spec, group, want_cause, ref.random(n))
     assert_same_bytes([cause, times], [want_cause, want], (sid, group))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,22 @@ def test_brentq_port_matches_scipy(monkeypatch):
             if k % 2:
                 a, b = b, a
             assert same(lambda x: fam(x, root, scale), a, b, xtol), (xtol, k)
+
+
+@pytest.mark.parametrize("sid, group, arrays", [("D", 0, 4.5), ("D", 1, 4.5), ("C", 1, 3.5)])
+def test_calibration_peak_memory(monkeypatch, sid, group, arrays):
+    # calibration holds its latent draw plus at most a few temporaries of
+    # _CAL_DRAWS floats: the cause codes take one byte each and the
+    # failure-time uniforms reuse the cause uniforms' buffer
+    monkeypatch.setattr(scenarios, "_censor_cache", {})
+    np.random.default_rng(0)  # numpy.random's own first-use allocations
+    tracemalloc.start()
+    try:
+        calibrate_censoring(scenario(sid, 10, 10, 30), 30, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * scenarios._CAL_DRAWS
 
 
 def test_calibrate_censoring_zero_means_none():
