@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -54,8 +55,6 @@ EXIT_CALIBRATION = 4
 
 
 def _digest(path) -> str:
-    import hashlib  # here, so importing the CLI does not load OpenSSL
-
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

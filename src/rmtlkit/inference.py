@@ -571,11 +571,7 @@ def _igamc_half_cf(x: float) -> float:
             ans = r
         else:
             t = 1.0
-        # four plain stores: faster in CPython than a four-name tuple swap
-        pkm2 = pkm1
-        pkm1 = pk
-        qkm2 = qkm1
-        qkm1 = qk
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
         if abs(pk) > _IGAM_BIG:
             pkm2 *= _IGAM_BIGINV
             pkm1 *= _IGAM_BIGINV

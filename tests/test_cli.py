@@ -64,7 +64,8 @@ def test_analyze_two_groups(fixture_csv, tmp_path, capsys):
     assert payload["mode"] == "two-group"
     assert payload["rmtld"]["tau"] == 2
     assert payload["manifest"]["command"] == "analyze"
-    assert len(payload["manifest"]["input_digests"]) == 1
+    digest = hashlib.sha256(fixture_csv.read_bytes()).hexdigest()
+    assert payload["manifest"]["input_digests"] == {str(fixture_csv): digest}
     for g in (0, 1):
         with open(tmp_path / f"curves_group{g}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -154,26 +155,31 @@ def test_curve_file_bytes(tmp_path, capsys, case):
 def test_cli_loads_no_scipy(fixture_csv, tmp_path):
     # neither the import, nor censored simulate studies, which calibrate
     # censoring, nor analyze with curve and JSON output, nor samplesize
-    # from pilot CSVs loads scipy or any of its submodules
+    # from pilot CSVs loads scipy or any of its submodules; neither the
+    # import nor a serial study loads the process-pool modules
     pilots = [tmp_path / "pilot0.csv", tmp_path / "pilot1.csv"]
     pilots[0].write_text("time,event\n1,1\n2,1\n3,0\n4,2\n5,1\n")
     pilots[1].write_text("time,event\n1,2\n2,1\n3,1\n4,0\n5,1\n")
     code = (
-        "import sys, rmtlkit.cli as cli\n"
+        "import json, sys, rmtlkit.cli as cli\n"
         "def scipy_modules():\n"
         "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "def pool_modules():\n"
+        "    return [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
         "loaded = scipy_modules()\n"
+        "pools = pool_modules()\n"
         "for mode in ('power', 'samplesize'):\n"
         "    assert cli.main(['simulate', '--mode', mode, '--scenario', 'C', '--n0', '40',\n"
         "                     '--n1', '40', '--censoring', '30', '--reps', '100',\n"
-        "                     '--out', sys.argv[1] + mode]) == 0\n"
+        "                     '--workers', '1', '--out', sys.argv[1] + mode]) == 0\n"
         "    loaded += scipy_modules()\n"
+        "    pools += pool_modules()\n"
         "assert cli.main(['analyze', sys.argv[2], '--curves', sys.argv[1] + 'curves.csv',\n"
         "                 '--json', sys.argv[1] + 'analyze.json']) == 0\n"
         "loaded += scipy_modules()\n"
         "assert cli.main(['samplesize', '--pilot0', sys.argv[3], '--pilot1', sys.argv[4],\n"
         "                 '--tau', '4']) == 0\n"
-        "print(loaded + scipy_modules())"
+        "print(json.dumps([loaded + scipy_modules(), pools]))"
     )
     src = str(Path(rmtlkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -181,45 +187,7 @@ def test_cli_loads_no_scipy(fixture_csv, tmp_path):
         [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv), *map(str, pilots)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines()[-1] == "[]"
-
-
-def test_cli_start_up_loads_no_pool_or_hash_modules(fixture_csv, tmp_path):
-    # importing the CLI loads neither the process-pool machinery nor
-    # OpenSSL, and a serial censored simulate adds no pool module and
-    # no hashing module beyond those numpy.random itself loads (its
-    # `secrets` import pulls in hmac and hashlib); analyze still digests
-    # its input
-    code = (
-        "import json, sys, rmtlkit.cli as cli\n"
-        "names = ('concurrent.futures', 'multiprocessing', 'hashlib', '_hashlib')\n"
-        "def loaded():\n"
-        "    return [m for m in names if m in sys.modules]\n"
-        "at_import = loaded()\n"
-        "assert cli.main(['simulate', '--mode', 'power', '--scenario', 'C', '--n0', '40',\n"
-        "                 '--n1', '40', '--censoring', '30', '--reps', '100',\n"
-        "                 '--workers', '1', '--out', sys.argv[1] + 'power']) == 0\n"
-        "after_simulate = loaded()\n"
-        "assert cli.main(['analyze', sys.argv[2], '--json', sys.argv[1] + 'analyze.json']) == 0\n"
-        "print(json.dumps([at_import, after_simulate]))"
-    )
-    src = str(Path(rmtlkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "study_"), str(fixture_csv)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    at_import, after_simulate = json.loads(out.stdout.splitlines()[-1])
-    numpy_random = subprocess.run(
-        [sys.executable, "-c", "import json, sys, numpy.random\n"
-         "print(json.dumps([m for m in ('hashlib', '_hashlib') if m in sys.modules]))"],
-        capture_output=True, text=True, check=True,
-    )
-    assert at_import == []
-    assert after_simulate == json.loads(numpy_random.stdout)
-    payload = json.loads((tmp_path / "study_analyze.json").read_text())
-    digest = hashlib.sha256(fixture_csv.read_bytes()).hexdigest()
-    assert payload["manifest"]["input_digests"] == {str(fixture_csv): digest}
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], []]
 
 
 def test_analyze_loads_no_numpy_random(fixture_csv):
