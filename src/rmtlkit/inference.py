@@ -271,7 +271,8 @@ def rmtld_test(
     e = np.concatenate((sample0.event, sample1.event))[None]
     row = {k: float(v[0]) for k, v in _rmtld_rows(t, e, sample0.n, np.array([tau]), alpha).items()}
     return RmtldResult(
-        **{k: row[k] for k in ("delta", "variance", "ci_low", "ci_high", "z", "p")},
+        **{k: row[k] for k in ("delta", "variance", "ci_low", "ci_high", "z")},
+        p=_normal_p(row["z"]),
         alpha=alpha,
         tau=tau,
         group0=RmtlEstimate(row["mu0"], row["var0"], tau, sample0.n),
@@ -283,33 +284,36 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
     """Row-wise ``rmtld_test`` for a block of pooled two-arm samples:
     ``t`` and ``e`` hold each row's times and event codes, control arm
     first (columns below ``n0``), and ``tau`` each row's restriction.
-    With ``gray`` set, each row's Gray test (cause 1) p-value is added;
+    With ``gray`` set, each row's Gray test (cause 1) statistic is added;
     otherwise it is NaN.
 
     Each arm's columns are pooled into tie groups by ``_arm_rmtl``, so
     the order within a run of equal times is irrelevant. Returns per-row
     arrays ``delta``, ``variance``, ``mu0``, ``var0``, ``mu1``, ``var1``,
-    ``z``, ``ci_low``, ``ci_high``, ``p`` and ``gray_p``. The first row
-    in ``usable`` (default: every row) with a non-positive RMTL or Gray
-    variance raises ``DegenerateTestError``, RMTL checked first.
+    ``z``, ``ci_low``, ``ci_high`` and ``gray_stat``, the exact statistics
+    and no p-values: ``rmtld_test`` takes its p from ``z``, and a study
+    decides each rejection by ``_rejects``. The first row in ``usable``
+    (default: every row) with a non-positive RMTL or Gray variance raises
+    ``DegenerateTestError``, RMTL checked first.
     """
     (mu0, var0), (mu1, var1) = (
         _arm_rmtl(t[:, arm], e[:, arm], tau) for arm in (slice(None, n0), slice(n0, None))
     )
     delta = mu1 - mu0
     variance = var0 + var1
+    se = np.sqrt(variance)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z, p, ci_low, ci_high = _normal_test(delta, variance, alpha)
+        z = delta / se
+    zq = _ndtri(1.0 - alpha / 2.0)
     failed = variance <= 0.0
     rows = t.shape[0]
-    gray_p = np.full(rows, math.nan)
+    gray_stat = np.full(rows, math.nan)
     if gray:
-        stat, gray_var = np.empty(rows), np.empty(rows)
+        gray_var = np.empty(rows)
         step = max(1, _GRAY_CELLS // t.shape[1])
         for k in range(0, rows, step):
             s = slice(k, k + step)
-            stat[s], gray_var[s] = _gray_rows(t[s], e[s], n0, EVENT_INTEREST)
-        gray_p = _elementwise(_chdtrc1, stat)
+            gray_stat[s], gray_var[s] = _gray_rows(t[s], e[s], n0, EVENT_INTEREST)
         failed |= gray_var <= 0.0
     if usable is not None:
         failed &= usable
@@ -319,18 +323,36 @@ def _rmtld_rows(t, e, n0: int, tau: np.ndarray, alpha: float, gray: bool = False
         raise DegenerateTestError(_RMTL_UNDEFINED if variance[r] <= 0.0 else _GRAY_ZERO_VARIANCE)
     return {
         "delta": delta, "variance": variance, "mu0": mu0, "var0": var0, "mu1": mu1,
-        "var1": var1, "z": z, "ci_low": ci_low, "ci_high": ci_high, "p": p, "gray_p": gray_p,
+        "var1": var1, "z": z, "ci_low": delta - zq * se, "ci_high": delta + zq * se,
+        "gray_stat": gray_stat,
     }
 
 
-def _normal_test(delta, var, alpha):
-    """(z, p, ci_low, ci_high) of the normal test of ``delta`` with
-    variance ``var``, for scalars or elementwise for arrays."""
-    se = np.sqrt(var)
-    z = delta / se
+# Statistics closer than this, relative, to a test's critical value are
+# decided by their exact tail: at alpha = 0.05, Gray's decision by its tail
+# flips 7 times between 17 ulps below and 10 above zq^2, and the band is
+# millions of ulps wide.
+_REJECT_BAND = 1e-9
+
+
+def _rejects(stat: np.ndarray, alpha: float, gray: bool = False) -> np.ndarray:
+    """``p < alpha`` for each ``z`` of ``rmtld_test``, or with ``gray`` set
+    each statistic of ``gray_test``: |z| against zq = ``_ndtri(1 - alpha /
+    2)``, Gray's statistic against zq^2. Only an element within a relative
+    ``_REJECT_BAND`` of that value, or NaN, takes its exact tail
+    (``_normal_p`` or ``_chdtrc1``)."""
     zq = _ndtri(1.0 - alpha / 2.0)
-    p = np.minimum(2.0 * _elementwise(_ndtr, -np.abs(z)), 1.0)
-    return z, p, delta - zq * se, delta + zq * se
+    crit, tail = (zq * zq, _chdtrc1) if gray else (zq, _normal_p)
+    v = stat if gray else np.abs(stat)
+    out = v > crit
+    for i in np.flatnonzero(~(np.abs(v - crit) > _REJECT_BAND * crit)).tolist():
+        out[i] = tail(float(v[i])) < alpha
+    return out
+
+
+def _normal_p(z: float) -> float:
+    """Two-sided p-value of a standard normal statistic ``z``."""
+    return min(2.0 * _ndtr(-abs(z)), 1.0)
 
 
 # The normal and 1-df chi-square tails: a line-for-line port of the Cephes
@@ -392,13 +414,6 @@ _LGAM1P_HALF = -0.12078223763524884
 _LANCZOS_SUM_HALF = 1.772453850905516
 _LANCZOS_G = 6.024680040776729583740234375
 _IGAM_BIG, _IGAM_BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16
-
-
-def _elementwise(f, x):
-    """``f`` of a scalar, or of each element of a 1-d array."""
-    if np.ndim(x) == 0:
-        return f(float(x))
-    return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
 def _polevl(x: float, coef) -> float:
@@ -607,12 +622,17 @@ def _subject_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-row running sums, before each group, of ``values[r, g]``
     added once per subject: ``counts[r, g]`` equal terms, one at a time
     (a tie group's terms are not multiplied out), so each sum is the
-    one a subject-by-subject ``cumsum`` gives."""
+    one a subject-by-subject ``cumsum`` gives. Without ties (no count
+    above 1) the sums are an exclusive ``cumsum`` of ``values * counts``,
+    the same bits: the finite ``values`` times 1 or 0 are exact, a sum
+    plus 0.0 is itself, and ``cumsum`` adds in order."""
     rows = counts.shape[0]
+    zeros = np.zeros((rows, 1))
+    if counts.max(initial=0) <= 1:
+        return np.cumsum(np.concatenate((zeros, values[:, :-1] * counts[:, :-1]), axis=1), axis=1)
     per_row = counts.sum(axis=1)
     width = int(per_row.max())
     # each row's terms after a leading 0, then 0s up to a common width
-    zeros = np.zeros((rows, 1))
     reps = np.concatenate(
         (np.ones((rows, 1), dtype=counts.dtype), counts, (width - per_row)[:, None]), axis=1
     )

@@ -49,7 +49,7 @@ import numpy as np
 from . import scenarios
 from .design import DesignInput, sample_size
 from .errors import InfeasibleDesignError, InputError, SimulationError
-from .inference import _rmtld_rows
+from .inference import _rejects, _rmtld_rows
 from .scenarios import ScenarioSpec, calibrate_censoring, true_rmtld
 
 __all__ = [
@@ -90,8 +90,10 @@ _BLOCK_CELLS = 2**17
 # cell raised their peak RSS by 7-10%).
 _POOL_JOBS = 8
 
-# per-replicate outputs of the block kernel; NaN where not computed
-_FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "p", "gray_p")
+# per-replicate outputs of the block kernel, exact statistics and no
+# p-values (a study decides rejections by ``inference._rejects``); NaN
+# where not computed
+_FIELDS = ("tau", "delta", "variance", "var0", "var1", "ci_low", "ci_high", "z", "gray_stat")
 
 
 @dataclass
@@ -246,12 +248,13 @@ def _replicate_block(
     RMTL difference at ``fixed_tau`` or, without one, at the min-max
     restriction time.
     Gray's test runs only where a study reads it: at the min-max
-    restriction time outside the pilot phase; elsewhere ``gray_p`` is
+    restriction time outside the pilot phase; elsewhere ``gray_stat`` is
     NaN. Returns one array per name in ``_FIELDS`` plus the ``unusable``
     mask, which flags rows whose follow-up ends before ``fixed_tau``.
     The test is ``_rmtld_rows``, the kernel ``rmtld_test`` runs on one
     row, so each value equals what ``rmtld_test`` and ``gray_test`` give
-    on the same subjects, bit for bit, and a usable degenerate row
+    on the same subjects (``z`` their ``z``, ``gray_stat`` Gray's
+    ``statistic``), bit for bit, and a usable degenerate row
     raises the ``DegenerateTestError`` they raise for it. This is the
     only code that computes replicates; ``_map_replicates`` feeds it
     blocks, in this process and on the pool workers of the study call.
@@ -429,8 +432,8 @@ def run_power_study(
     with _pool(spec, workers) as pool:
         records = _map_replicates(spec, seed, reps, pool)
     report = SimulationReport("power", spec, reps, seed)
-    report.add_rate("rejection_rmtld", records["p"] < ALPHA)
-    report.add_rate("rejection_gray", records["gray_p"] < ALPHA)
+    report.add_rate("rejection_rmtld", _rejects(records["z"], ALPHA))
+    report.add_rate("rejection_gray", _rejects(records["gray_stat"], ALPHA, gray=True))
     taus = records["tau"]
     report.add_metric("mean_tau", float(np.mean(taus)),
                       float(np.std(taus, ddof=1)) / math.sqrt(reps))
@@ -489,6 +492,6 @@ def run_samplesize_validation(
         },
     )
     report.add_metric("total_n", design.total, 0.0)
-    report.add_rate("power_rmtld", records["p"] < ALPHA)
-    report.add_rate("power_gray", records["gray_p"] < ALPHA)
+    report.add_rate("power_rmtld", _rejects(records["z"], ALPHA))
+    report.add_rate("power_gray", _rejects(records["gray_stat"], ALPHA, gray=True))
     return report

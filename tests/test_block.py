@@ -12,6 +12,7 @@ import scalar_oracle as oracle
 
 from rmtlkit import DegenerateTestError, gray_test, rmtld_test, scenarios, select_tau, simulate
 from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, generate_group, scenario
+from rmtlkit.inference import _rejects
 from rmtlkit.simulate import _FIELDS, _map_replicates, _replicate_block
 
 REPS = 200
@@ -44,20 +45,27 @@ def scalar_replicate(spec, i, phase=0, fixed_tau=None):
 
 
 def scalar_rows(spec, indices, options):
-    rows = []
+    """The block fields of each replicate from the one-sample functions,
+    and their p-values: ``(fields, {"p": ..., "gray_p": ...})``."""
+    rows, pvalues = [], []
     for i in indices:
         outcome = scalar_replicate(spec, i, **options)
         if outcome is None:
             rows.append({**dict.fromkeys(_FIELDS, np.nan), "unusable": True})
+            pvalues.append({"p": np.nan, "gray_p": np.nan})
             continue
         res, gray = outcome
         rows.append({
             "tau": res.tau, "delta": res.delta, "variance": res.variance,
             "var0": res.group0.variance, "var1": res.group1.variance,
-            "ci_low": res.ci_low, "ci_high": res.ci_high, "p": res.p,
-            "gray_p": np.nan if gray is None else gray.p, "unusable": False,
+            "ci_low": res.ci_low, "ci_high": res.ci_high, "z": res.z,
+            "gray_stat": np.nan if gray is None else gray.statistic, "unusable": False,
         })
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        pvalues.append({"p": res.p, "gray_p": np.nan if gray is None else gray.p})
+    return tuple(
+        {name: np.array([row[name] for row in table]) for name in table[0]}
+        for table in (rows, pvalues)
+    )
 
 
 def assert_rows_equal(got, want):
@@ -73,11 +81,13 @@ def test_block_matches_scalar(sid):
         for mode, (sizes, options) in MODES.items():
             cell = spec if sizes is None else replace(spec, n0=sizes[0], n1=sizes[1])
             got = _map_replicates(cell, SEED, REPS, None, **options)
-            want = scalar_rows(cell, range(REPS), options)
+            want, pvalues = scalar_rows(cell, range(REPS), options)
             assert_rows_equal(got, want)
-            assert np.array_equal(got["p"] < 0.05, want["p"] < 0.05)
+            assert np.array_equal(_rejects(got["z"], 0.05), pvalues["p"] < 0.05)
             if mode == "power":
-                assert np.array_equal(got["gray_p"] < 0.05, want["gray_p"] < 0.05)
+                assert np.array_equal(
+                    _rejects(got["gray_stat"], 0.05, gray=True), pvalues["gray_p"] < 0.05
+                )
             if mode == "estimation" and sid == "A" and cr == 45:
                 # the uniform censoring bound sits below tau = 4 here
                 assert got["unusable"].all()
@@ -119,20 +129,20 @@ def test_tied_rows_match_the_scalar_path(monkeypatch, decimals):
     # to 3 decimals some rows tie and some do not; to 0 decimals all do
     assert 0 < tied < 60 if decimals == 3 else tied == 60
     got = _map_replicates(spec, SEED, 60, None)
-    assert_rows_equal(got, scalar_rows(spec, range(60), {}))
+    assert_rows_equal(got, scalar_rows(spec, range(60), {})[0])
 
 
 def test_gray_runs_at_the_min_max_tau_outside_the_pilot():
     # studies read Gray's test from main- and power-phase blocks only;
-    # pilot and fixed-tau blocks skip it and leave gray_p NaN
+    # pilot and fixed-tau blocks skip it and leave gray_stat NaN
     spec = scenario("C", 30, 30, 15)
     for phase in (simulate._PHASE_MAIN, simulate._PHASE_PILOT, simulate._PHASE_POWER):
         for fixed_tau in (None, 1.0):
             block = _replicate_block(spec, SEED, range(8), phase, fixed_tau)
-            assert not block["unusable"].any() and np.isfinite(block["p"]).all()
+            assert not block["unusable"].any() and np.isfinite(block["z"]).all()
             skipped = fixed_tau is not None or phase == simulate._PHASE_PILOT
-            assert np.isnan(block["gray_p"]).all() == skipped
-            assert np.isfinite(block["gray_p"]).all() != skipped
+            assert np.isnan(block["gray_stat"]).all() == skipped
+            assert np.isfinite(block["gray_stat"]).all() != skipped
 
 
 @pytest.mark.parametrize("gray", [True, False])

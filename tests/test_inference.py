@@ -15,7 +15,8 @@ from rmtlkit import (
     rmtld_test,
     variance_rmtl,
 )
-from rmtlkit.inference import _gray_rows
+from rmtlkit import inference, simulate
+from rmtlkit.inference import _REJECT_BAND, _gray_rows, _rejects, _subject_sums
 from rmtlkit.scenarios import scenario, generate_group
 
 
@@ -351,3 +352,83 @@ def test_special_functions_match_scipy_stats():
     assert np.array_equal(ndtr(z), norm.cdf(z))
     assert np.array_equal(ndtri(q), norm.ppf(q))
     assert np.array_equal(chdtrc(1, x), chi2.sf(x, 1))
+
+
+# ---------------------------------------------------------------------------
+# study decisions and Gray's running sums
+
+
+def exact_rejects(stat, alpha, gray):
+    """``p < alpha`` from the exact tail of each statistic."""
+    if gray:
+        return np.array([inference._chdtrc1(v) < alpha for v in stat.tolist()])
+    return np.array([min(2.0 * inference._ndtr(-abs(v)), 1.0) < alpha for v in stat.tolist()])
+
+
+def just_outside(crit, side, count):
+    """The ``count`` floats nearest the band's edge on ``side`` (+1 above,
+    -1 below) that ``_rejects`` decides without the exact tail."""
+    band = _REJECT_BAND * crit
+    x = crit + side * band
+    while abs(x - crit) > band:
+        x = float(np.nextafter(x, crit))
+    while not abs(x - crit) > band:
+        x = float(np.nextafter(x, side * math.inf))
+    # positive floats order like their bit patterns
+    return (np.float64(x).view(np.int64) + side * np.arange(count)).view(np.float64)
+
+
+@pytest.mark.parametrize("gray", [False, True])
+@pytest.mark.parametrize("alpha", [0.05, 0.01, 0.1])
+def test_rejects_equals_the_exact_tail(alpha, gray):
+    zq = inference._ndtri(1.0 - alpha / 2.0)
+    crit = zq * zq if gray else zq
+    stat = np.concatenate((
+        just_outside(crit, -1, 10**4),
+        just_outside(crit, 1, 10**4),
+        np.logspace(-3, 3, 2 * 10**4),
+        [0.0, -0.0, math.inf, -math.inf, math.nan],
+    ))
+    for values in (stat, -stat):
+        assert np.array_equal(_rejects(values, alpha, gray), exact_rejects(values, alpha, gray))
+
+
+def test_power_study_takes_no_tail_outside_the_band(monkeypatch):
+    spec = scenario("C", 300, 300, 30)
+    simulate.run_power_study(spec, 100)  # warm: calibration runs once
+    records = simulate._map_replicates(spec, 0, 100, None)
+    zq = inference._ndtri(1.0 - simulate.ALPHA / 2.0)
+    near = sum(
+        np.count_nonzero(~(np.abs(v - crit) > _REJECT_BAND * crit))
+        for v, crit in ((np.abs(records["z"]), zq), (records["gray_stat"], zq * zq))
+    )
+    calls = []
+    for name in ("_chdtrc1", "_ndtr"):
+        tail = getattr(inference, name)
+        monkeypatch.setattr(inference, name, lambda x, tail=tail: calls.append(x) or tail(x))
+    simulate.run_power_study(spec, 100)
+    assert len(calls) == near
+
+
+def running_sums(values, counts):
+    """Each row's sum before each group of ``values[r, g]`` added
+    ``counts[r, g]`` times, one subject at a time."""
+    out = np.empty(values.shape)
+    for r in range(values.shape[0]):
+        total = 0.0
+        for g in range(values.shape[1]):
+            out[r, g] = total
+            for _ in range(counts[r, g]):
+                total += values[r, g]
+    return out
+
+
+@pytest.mark.parametrize("most", [1, 3])
+def test_subject_sums_add_one_subject_at_a_time(most):
+    # counts of at most 1 take the tie-free cumsum, larger ones the repeat path
+    rng = np.random.default_rng(most)
+    values = 1.0 / rng.uniform(0.01, 1.0, (40, 70))
+    counts = rng.integers(0, most + 1, (40, 70))
+    assert counts.max() == most
+    got = _subject_sums(values, counts)
+    assert got.tobytes() == running_sums(values, counts).tobytes()

@@ -1,11 +1,14 @@
 """The row kernels against the scalar oracle (``scalar_oracle.py``) on
-integer-rounded, tie-heavy data: every value must match bit for bit."""
+integer-rounded, tie-heavy data, and on untied draws: every value must
+match bit for bit."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 import scalar_oracle as oracle
+from scipy.special import ndtr, ndtri
 
 from rmtlkit import (
     DegenerateTestError,
@@ -22,7 +25,6 @@ from rmtlkit import (
     simulate,
     variance_rmtl,
 )
-from rmtlkit.inference import _normal_test
 from rmtlkit.scenarios import generate_group, scenario
 
 # (time, event) pairs of the control and treatment arm, one tie kind each
@@ -52,6 +54,15 @@ def random_pairs(count, seed=11):
         yield tuple(arms)
 
 
+def normal_test(delta, variance, alpha):
+    """(z, p, ci_low, ci_high) of the two-sided normal test of ``delta``
+    with ``variance``, from scipy's normal tail and quantile."""
+    se = math.sqrt(variance)
+    z = delta / se
+    zq = float(ndtri(1.0 - alpha / 2.0))
+    return z, min(2.0 * float(ndtr(-abs(z))), 1.0), delta - zq * se, delta + zq * se
+
+
 def oracle_rmtld_test(s0, s1, tau, alpha=0.05):
     """``rmtld_test`` rebuilt from the oracle's curves and variances."""
     (mu0, var0), (mu1, var1) = (
@@ -61,7 +72,7 @@ def oracle_rmtld_test(s0, s1, tau, alpha=0.05):
     delta, variance = mu1 - mu0, var0 + var1
     if variance <= 0.0:
         raise DegenerateTestError("both groups are event-free before tau; the test is undefined")
-    z, p, ci_low, ci_high = (float(v) for v in _normal_test(delta, variance, alpha))
+    z, p, ci_low, ci_high = normal_test(delta, variance, alpha)
     return RmtldResult(
         delta, variance, ci_low, ci_high, z, p, alpha, tau,
         RmtlEstimate(mu0, var0, tau, s0.n), RmtlEstimate(mu1, var1, tau, s1.n),
@@ -126,25 +137,37 @@ def test_block_rows_match_the_oracle(monkeypatch, gray):
         return np.round(time), event
 
     monkeypatch.setattr(scenarios, "_observe", rounded)
+    # Gray's test runs outside the pilot phase only
+    assert_block_matches_the_oracle(simulate._PHASE_MAIN if gray else simulate._PHASE_PILOT)
+
+
+def test_untied_block_rows_match_the_oracle():
+    # continuous draws never tie, so Gray's running sums take their
+    # tie-free path here
+    assert_block_matches_the_oracle(simulate._PHASE_MAIN, untied=True)
+
+
+def assert_block_matches_the_oracle(phase, untied=False):
     spec = scenario("C", 25, 25, 30)
     seed, rows = 77, 40
-    # Gray's test runs outside the pilot phase only
-    phase = simulate._PHASE_MAIN if gray else simulate._PHASE_PILOT
+    gray = phase != simulate._PHASE_PILOT
     got = simulate._replicate_block(spec, seed, range(rows), phase=phase)
     for i in range(rows):
         rng = oracle.rng_for(seed, phase, i)
         s0, s1 = (generate_group(spec, g, 25, rng) for g in (0, 1))
+        if untied:
+            assert np.unique(np.concatenate((s0.time, s1.time))).size == 50
         tau = select_tau(s0, s1)
         (mu0, var0), (mu1, var1) = (
             (integrate_step(pair.table.times, pair.cif1, tau), oracle.variance_rmtl(pair, tau))
             for pair in (oracle.cif_pair(s0), oracle.cif_pair(s1))
         )
         delta, variance = mu1 - mu0, var0 + var1
-        _, p, ci_low, ci_high = _normal_test(delta, variance, 0.05)
+        z, _, ci_low, ci_high = normal_test(delta, variance, 0.05)
         want = {
             "tau": tau, "delta": delta, "variance": variance, "var0": var0, "var1": var1,
-            "ci_low": ci_low, "ci_high": ci_high, "p": p,
-            "gray_p": oracle.gray_test(s0, s1).p if gray else np.nan,
+            "ci_low": ci_low, "ci_high": ci_high, "z": z,
+            "gray_stat": oracle.gray_test(s0, s1).statistic if gray else np.nan,
         }
         for name, value in want.items():
             assert np.float64(got[name][i]).tobytes() == np.float64(value).tobytes(), (i, name)
