@@ -11,8 +11,8 @@ import pytest
 import scalar_oracle as oracle
 
 from rmtlkit import DegenerateTestError, gray_test, rmtld_test, scenarios, select_tau, simulate
-from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, generate_group, scenario
 from rmtlkit.inference import _rejects
+from rmtlkit.scenarios import CENSOR_TARGETS, SCENARIO_IDS, generate_group, scenario
 from rmtlkit.simulate import _FIELDS, _map_replicates, _replicate_block
 
 REPS = 200
