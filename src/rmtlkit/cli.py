@@ -28,6 +28,8 @@ import stat
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import GroupSample, ingest_single_group_csv, select_tau
 from .design import DesignInput, estimate_sigma_sq, power_at, sample_size
@@ -38,7 +40,7 @@ from .errors import (
     InputError,
     SimulationError,
 )
-from .estimators import cif_pair, curve_rows
+from .estimators import cif_pair
 from .inference import gray_test, rmtl, rmtld_test
 from .scenarios import CENSOR_TARGETS, SCENARIO_IDS, scenario
 from .simulate import (
@@ -52,6 +54,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_CALIBRATION = 4
+
+_CURVE_SLICE = 1 << 14  # curve-file rows rendered per write
 
 
 def _digest(path) -> str:
@@ -129,17 +133,21 @@ def _curve_path(base, group: int) -> Path:
 
 def _write_curves(base, samples):
     """Write one curve file per sample and return their paths: the header
-    ``time,survival,cif1,cif2``, then ``curve_rows``, each line ended by
-    CR LF and each value its ``repr`` (the shortest round-trip form, so
-    the file re-reads to the same floats). These are ``csv.writer``'s
-    bytes for these rows, rendered in one pass and written at once."""
+    ``time,survival,cif1,cif2``, then the rows of ``curve_rows``, each
+    value its ``repr`` (the shortest round-trip form) and each line ended
+    by CR LF, which are ``csv.writer``'s bytes. Each file is rendered from
+    ``cif_pair``'s arrays and written in slices of ``_CURVE_SLICE`` rows,
+    so the text held at once does not grow with the file."""
     written = []
     for sample in samples:
         path = _curve_path(base, sample.group)
-        rows = curve_rows(cif_pair(sample))
-        text = "time,survival,cif1,cif2\r\n" + "".join(map("%r,%r,%r,%r\r\n".__mod__, rows))
+        pair = cif_pair(sample)
+        columns = (pair.table.times, pair.survival, pair.cif1, pair.cif2)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write("time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n")
+            for start in range(0, pair.table.n_times, _CURVE_SLICE):
+                values = np.column_stack([c[start:start + _CURVE_SLICE] for c in columns])
+                fh.write("%r,%r,%r,%r\r\n" * len(values) % tuple(values.ravel().tolist()))
         written.append(path)
     return written
 

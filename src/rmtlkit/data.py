@@ -45,7 +45,8 @@ def _validate_arrays(time, event):
 
 @dataclass(frozen=True)
 class GroupSample:
-    """All subjects of one arm. Immutable after construction.
+    """All subjects of one arm. Immutable after construction: it holds
+    read-only copies of ``time`` and ``event``, never the caller's arrays.
 
     Parameters
     ----------
@@ -59,8 +60,8 @@ class GroupSample:
     group: int = GROUP_CONTROL
 
     def __post_init__(self):
-        time = np.ascontiguousarray(np.asarray(self.time, dtype=float))
-        event = np.ascontiguousarray(np.asarray(self.event, dtype=np.int64))
+        time = np.array(self.time, dtype=float, ndmin=1)
+        event = np.array(self.event, dtype=np.int64, ndmin=1)
         _validate_arrays(time, event)
         if time.size < 2:
             raise SampleSizeError(
@@ -107,7 +108,7 @@ class EventTable:
     ``times`` is strictly increasing and holds only times at which an
     event (code 1 or 2) occurred. ``at_risk[i]`` counts subjects with
     observed time >= times[i]; a subject censored exactly at times[i]
-    is still in the risk set there.
+    is still in the risk set there. The four arrays are read-only copies.
     """
 
     times: np.ndarray
@@ -117,7 +118,7 @@ class EventTable:
 
     def __post_init__(self):
         for name in ("times", "d1", "d2", "at_risk"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name)))
+            arr = np.array(getattr(self, name), order="C", ndmin=1)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.times.size:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,17 @@ def _tie_heavy_rows():
     return [(int(t), int(e), g) for g in (0, 1) for t, e in zip(times[g], events[g])]
 
 
+def _untied_rows(knots):
+    # arm 0: ``knots`` distinct event times; arm 1: three subjects
+    rng = np.random.default_rng(knots)
+    times = np.unique(rng.random(knots + 16))[:knots]
+    events = rng.integers(1, 3, size=knots)
+    rows = [(repr(t), int(e), 0) for t, e in zip(times.tolist(), events)]
+    return rows + [(0.5, 1, 1), (0.9, 2, 1), (1.0, 0, 1)]
+
+
+_SLICE = rmtlkit.cli._CURVE_SLICE
+
 CURVE_CASES = {
     "single-group": SINGLE,
     # arm 0 has no events: its file is the header and the t=0 row
@@ -120,6 +132,13 @@ CURVE_CASES = {
     "tiny-incidence": _rows_text(
         (1, 1, 0), *[(2, 0, 0)] * 19_999, (1, 1, 1), (2, 2, 1), (3, 0, 1)
     ),
+    # events at t=0: the t=0 row, then the knot at 0.0
+    "time-zero-events": _rows_text(
+        (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1), (1, 2, 1), (2, 1, 1)
+    ),
+    # arm 0's knots fill exactly one write slice, then cross one boundary
+    "one-full-slice": _rows_text(*_untied_rows(_SLICE)),
+    "slice-crossed": _rows_text(*_untied_rows(_SLICE + 3)),
 }
 
 
@@ -150,6 +169,40 @@ def test_curve_file_bytes(tmp_path, capsys, case):
         assert b"\r\n1e-05," in written[0] and b"\r\n1e+16," in written[1]
     elif case == "tiny-incidence":
         assert written[0].endswith(b"\r\n1.0,0.99995,5e-05,0.0\r\n")
+    elif case == "time-zero-events":
+        assert written[0].startswith(b"time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n0.0,0.5,")
+        assert written[1].startswith(b"time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n1.0,")
+    elif case == "one-full-slice":
+        assert written[0].count(b"\r\n") == 2 + _SLICE
+    elif case == "slice-crossed":
+        assert written[0].count(b"\r\n") == 2 + _SLICE + 3
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_curves_peak_memory(tmp_path):
+    # tracemalloc peak for one untied arm of 10^5 subjects (Python 3.11.7,
+    # numpy 2.4.6): 38.9 MB for curve_rows plus the file as one text, 12.2 MB
+    # when it is written in slices, which is cif_pair's own peak
+    rng = np.random.default_rng(5)
+    sample = GroupSample(rng.random(100_000), rng.integers(1, 3, 100_000))
+
+    def whole_text():
+        rows = estimators.curve_rows(estimators.cif_pair(sample))
+        text = "time,survival,cif1,cif2\r\n" + "".join(map("%r,%r,%r,%r\r\n".__mod__, rows))
+        (tmp_path / "whole.csv").write_text(text, encoding="utf-8", newline="")
+
+    reference = _traced_peak(whole_text)
+    peak = _traced_peak(lambda: rmtlkit.cli._write_curves(tmp_path / "c.csv", [sample]))
+    assert (tmp_path / "c_group0.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peak < reference / 2, (peak, reference)
 
 
 def test_cli_loads_no_scipy(fixture_csv, tmp_path):

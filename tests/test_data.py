@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from rmtlkit import (
+    EventTable,
     GroupSample,
     RowError,
     SampleSizeError,
     SchemaError,
     build_event_table,
     ingest_csv,
+    rmtl,
     select_tau,
 )
 from rmtlkit.data import ingest_single_group_csv
@@ -195,3 +197,24 @@ def test_sample_immutable():
     s = make_sample([(1, 1), (2, 0)])
     with pytest.raises(ValueError):
         s.time[0] = 9.0
+
+
+def test_samples_and_tables_copy_their_inputs():
+    # the caller's arrays stay writeable and unshared, and a view taken
+    # before construction cannot write through into the sample
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    e = np.array([1, 0, 1, 2])
+    view = t[:]
+    s = GroupSample(t, e)
+    assert s.time is not t and s.event is not e
+    assert t.flags.writeable and e.flags.writeable
+    assert not np.shares_memory(s.time, t) and not np.shares_memory(s.event, e)
+    assert rmtl(s, 3.0).mu == 0.5
+    view[0] = 2.5
+    e[2] = 0
+    assert rmtl(s, 3.0).mu == 0.5
+    arrays = (np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 1]), np.array([2, 1]))
+    table = EventTable(*arrays)
+    for name, arr in zip(("times", "d1", "d2", "at_risk"), arrays):
+        assert arr.flags.writeable and not getattr(table, name).flags.writeable
+        assert not np.shares_memory(getattr(table, name), arr)
