@@ -17,7 +17,6 @@ from .data import (
 )
 from .design import DesignInput, DesignResult, estimate_sigma_sq, power_at, sample_size
 from .errors import (
-    CalibrationError,
     DegeneratePilotError,
     DegenerateTestError,
     ExtrapolationError,
@@ -100,6 +99,5 @@ __all__ = [
     "DegeneratePilotError",
     "InfeasibleDesignError",
     "ExtrapolationError",
-    "CalibrationError",
     "SimulationError",
 ]

@@ -11,9 +11,10 @@ Three subcommands:
 Exit codes: 0 success, 1 an internal error (with its traceback),
 2 invalid input, an unreadable input file or an unwritable output
 path, 3 statistical degeneracy or an infeasible design (a simulated
-design above the arm-size cap included), 4 censoring-calibration
-failure. Human-readable output and JSON carry the same numbers; JSON
-keeps full precision.
+design above the arm-size cap included), 4 a simulation study that
+cannot be completed (most estimation replicates end before tau).
+Human-readable output and JSON carry the same numbers; JSON keeps full
+precision.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from . import __version__
 from .data import GroupSample, ingest_single_group_csv, select_tau
 from .design import DesignInput, estimate_sigma_sq, power_at, sample_size
 from .errors import (
-    CalibrationError,
     DegenerateTestError,
     ExtrapolationError,
     InputError,
@@ -53,7 +53,7 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
-EXIT_CALIBRATION = 4
+EXIT_SIMULATION = 4
 
 _CURVE_SLICE = 1 << 14  # curve-file rows rendered per write
 
@@ -390,9 +390,9 @@ def main(argv=None) -> int:
             PermissionError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CalibrationError, SimulationError) as exc:
+    except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
+        return EXIT_SIMULATION
 
 
 if __name__ == "__main__":

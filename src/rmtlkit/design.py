@@ -114,9 +114,15 @@ def power_at(
 
     Evaluates Phi(|delta| / sqrt(sigma0^2/n0 + sigma1^2/n1) - z_{1-alpha/2}),
     the one-sided approximation of the two-sided rejection probability.
+    An n0 below 2, a ratio outside (0, inf) or an alpha outside (0, 1)
+    raises ``InputError``, as ``DesignInput`` does.
     """
     if n0 < 2:
-        raise ValueError("n0 must be at least 2")
+        raise InputError("n0 must be at least 2")
+    if not 0 < ratio < math.inf:
+        raise InputError("ratio must be positive and finite")
+    if not 0 < alpha < 1:
+        raise InputError("alpha must lie in (0, 1)")
     n1 = ratio * n0
     se = math.sqrt(sigma0_sq / n0 + sigma1_sq / n1)
     za = _ndtri(1.0 - alpha / 2.0)

@@ -2,7 +2,7 @@
 
 Three failure families map onto the CLI exit codes: input validation
 problems (exit 2), statistical degeneracy (exit 3), and simulation
-calibration failures (exit 4).
+studies that cannot be completed (exit 4).
 """
 
 
@@ -44,10 +44,6 @@ class InfeasibleDesignError(DegenerateTestError):
 
 class ExtrapolationError(ValueError):
     """A restriction time lies beyond the observed follow-up."""
-
-
-class CalibrationError(RuntimeError):
-    """Censoring calibration could not reach the requested rate."""
 
 
 class SimulationError(RuntimeError):

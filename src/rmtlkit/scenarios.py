@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroupSample
-from .errors import CalibrationError, InputError
+from .errors import InputError
 
 __all__ = [
     "ScenarioSpec",
@@ -233,10 +233,17 @@ def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | 
     """Uniform censoring bound giving the target censoring percentage.
 
     Draws ``_CAL_DRAWS`` latent failure times once, then solves
-    mean(min(T, b) / b) = target/100 for b; under C ~ U(0, b) that mean
-    is exactly the censoring probability, so a fresh draw lands within
-    Monte-Carlo noise (well inside one percentage point) of the target.
-    Target 0 means no censoring at all and returns None.
+    g(b) = mean(min(T, b)) / b = c, c = target/100, for b; under
+    C ~ U(0, b) that mean is exactly the censoring probability, so a
+    fresh draw lands within Monte-Carlo noise (well inside one
+    percentage point) of the target. Target 0 means no censoring at all
+    and returns None.
+
+    On the sorted draws t_1 <= ... <= t_n with prefix sums P_k,
+    g(b) = P_k / (n b) + (n - k) / n for b in [t_k, t_k+1). g falls
+    continuously from 1 to 0, so with k the last index where
+    g(t_k) > c the root is b = P_k / (n c - (n - k)), found by bisection
+    on k; a root exists for every target in (0, 1).
     """
     if target not in CENSOR_TARGETS:
         raise InputError(f"target must be one of {CENSOR_TARGETS}")
@@ -249,76 +256,18 @@ def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | 
         np.random.SeedSequence(entropy=_CAL_SEED, spawn_key=(group,))
     )
     _, times = _draw_failures(spec, group, _CAL_DRAWS, rng)
-    frac = target / 100.0
-
-    def censor_rate(b):
-        return float(np.mean(np.minimum(times, b)) / b)
-
-    lo, hi = 1e-9, 1.0
-    while censor_rate(hi) > frac:
-        hi *= 2.0
-        if hi > 1e12:
-            raise CalibrationError(
-                f"cannot reach {target}% censoring; achieved range "
-                f"[{censor_rate(1e12):.4f}, {censor_rate(lo):.4f}]"
-            )
-    bound = _brentq(lambda b: censor_rate(b) - frac, lo, hi, xtol=1e-10)[0]
+    times.sort()
+    n, frac = times.size, target / 100.0
+    lo, hi = 1, n + 1  # g(t_lo) > c, and g(t_hi) <= c or hi = n + 1
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if times[:k].sum() + (n - k) * times[k - 1] > frac * n * times[k - 1]:
+            lo = k
+        else:
+            hi = k
+    bound = float(times[:lo].sum() / (n * frac - (n - lo)))
     _censor_cache[key] = bound
     return bound
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> tuple[float, int, int]:
-    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method.
-
-    A line-for-line port of the C core of ``scipy.optimize.brentq`` at
-    its default ``rtol`` (4 eps) and ``maxiter`` (100): the same steps
-    give the same float, so calibrated bounds do not depend on which of
-    the two ran, and ``simulate`` needs no ``scipy.optimize`` import
-    (a third of its start-up). Returns ``(root, iterations,
-    function_calls)``.
-    """
-    rtol = 4.0 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    calls = 2
-    if fpre == 0:
-        return xpre, 0, calls
-    if fcur == 0:
-        return xcur, 0, calls
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise CalibrationError("f(a) and f(b) must have different signs")
-    for iterations in range(1, 101):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, iterations, calls
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        calls += 1
-    raise CalibrationError(f"root search did not converge in 100 iterations (last x={xcur})")
 
 
 def true_rmtld(spec: ScenarioSpec, tau: float = 4.0) -> float:

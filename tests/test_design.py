@@ -7,6 +7,7 @@ from rmtlkit import (
     DesignResult,
     GroupSample,
     InfeasibleDesignError,
+    InputError,
     estimate_sigma_sq,
     power_at,
     sample_size,
@@ -118,6 +119,16 @@ def test_power_vanishing_effect():
 
 def test_power_uses_absolute_delta():
     assert power_at(-0.5, 1.0, 1.0, 63) == power_at(0.5, 1.0, 1.0, 63)
+
+
+@pytest.mark.parametrize("options", [
+    {"n0": 1},
+    {"ratio": 0.0}, {"ratio": -1.0}, {"ratio": float("inf")}, {"ratio": float("nan")},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 1.5}, {"alpha": float("nan")},
+])
+def test_power_at_rejects_what_design_input_rejects(options):
+    with pytest.raises(InputError):
+        power_at(0.5, 1.0, 1.0, **{"n0": 63, **options})
 
 
 def test_estimate_sigma_sq_definition():

@@ -36,7 +36,7 @@ def test_bench_trace_target_resolves(module, attr, span):
 
 
 PUBLIC_NAMES = [
-    "CalibrationError", "CifPair", "DegeneratePilotError", "DegenerateTestError",
+    "CifPair", "DegeneratePilotError", "DegenerateTestError",
     "DesignInput", "DesignResult", "EVENT_CENSORED", "EVENT_COMPETING", "EVENT_INTEREST",
     "EventTable", "ExtrapolationError", "GROUP_CONTROL", "GROUP_TREATMENT", "GrayResult",
     "GroupSample", "InfeasibleDesignError", "InputError", "RmtlEstimate", "RmtldResult",

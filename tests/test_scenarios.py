@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 from scalar_oracle import piecewise_cdf, sdh_cause1_cif, sdh_cause2_cif, sdh_delta
 
-from rmtlkit import CalibrationError, InputError, scenarios
+from rmtlkit import InputError, scenarios
 from rmtlkit.scenarios import (
     THETA_B,
     THETA_C,
@@ -148,53 +148,55 @@ def test_calibrate_censoring_targets():
             assert abs(rate - target / 100.0) < 0.01, (sid, group, rate)
 
 
-def test_brentq_port_matches_scipy(monkeypatch):
-    # the port returns scipy's root after the same iterations and function
-    # calls, on every calibration function and on random bracketed roots
-    port = scenarios._brentq
+# The bounds of the former Brent root search (scipy's float) at p1 = 0.7,
+# in scenario (A-F), arm, target (15/30/45%) order.
+BRENT_BOUNDS = [
+    6.705918876004102, 3.2213633630455516, 1.899499136964916,
+    6.6448909291094616, 3.1890060299654945, 1.880614132106705,
+    6.705918876004102, 3.2213633630455516, 1.899499136964916,
+    7.981430535433113, 3.8325961997996787, 2.267108432461727,
+    6.705918876004102, 3.2213633630455516, 1.899499136964916,
+    8.569677315119396, 4.105829186766749, 2.4246666288949728,
+    10.335187236356449, 5.166041311744482, 3.377070879751348,
+    13.110441390004693, 6.555189188420485, 4.361737789410753,
+    11.857221696722927, 5.928437530790119, 3.9304344198469985,
+    20.15247949300378, 9.608471987477754, 5.734658374205255,
+    11.857221696722927, 5.928437530790119, 3.9304344198469985,
+    16.970522501694088, 7.967113168082861, 4.698900060905934,
+]
 
-    def same(f, a, b, xtol):
-        root, res = brentq(f, a, b, xtol=xtol, full_output=True)
-        return port(f, a, b, xtol) == (root, res.iterations, res.function_calls)
 
-    matches = []
+def test_calibrated_bounds_match_the_brent_root(monkeypatch):
+    # the closed-form root is the same bound as the former root search,
+    # to well inside its xtol, and always a Python float
+    monkeypatch.setattr(scenarios, "_censor_cache", {})
+    bounds = [
+        calibrate_censoring(scenario(sid, 10, 10, target), target, group)
+        for sid in "ABCDEF" for group in (0, 1) for target in (15, 30, 45)
+    ]
+    assert [type(b) for b in bounds] == [float] * 36
+    for got, want in zip(bounds, BRENT_BOUNDS):
+        assert abs(got - want) <= 1e-11 * want, (got, want)
 
-    def checked(f, a, b, xtol):
-        values = {}  # both searches evaluate f at the same points
 
-        def g(x):
-            if x not in values:
-                values[x] = f(x)
-            return values[x]
-
-        matches.append(same(g, a, b, xtol))
-        return port(g, a, b, xtol)
-
-    monkeypatch.setattr(scenarios, "_brentq", checked)
+def test_calibrated_rate_is_exact_on_the_calibration_draws(monkeypatch):
+    # on the calibration draws themselves, mean(min(T, b)) / b, summed
+    # exactly, is the target rate up to rounding in every cell
     monkeypatch.setattr(scenarios, "_censor_cache", {})
     for p1 in (0.7, 1.0, 0.3):
         for sid in "ABCDEF":
-            for target in (15, 30, 45):
-                for group in (0, 1):
-                    calibrate_censoring(scenario(sid, 10, 10, target, p1), target, group)
-    assert len(matches) == 108 and all(matches)
-
-    rng = np.random.default_rng(2024)
-    families = (
-        lambda x, r, s: s * (x - r) * (1.0 + 0.3 * math.sin(x)),
-        lambda x, r, s: s * math.copysign(abs(x - r) ** (1 / 3), x - r),
-        lambda x, r, s: math.expm1(s * (x - r)),
-        lambda x, r, s: (x - r) ** 3 + s * (x - r),
-    )
-    for xtol in (2e-12, 1e-10, 1e-4):
-        for k in range(800):
-            root = rng.normal() * 10 ** rng.uniform(-3, 3)
-            scale = rng.uniform(0.1, 10)
-            fam = families[k % len(families)]
-            a, b = root - rng.uniform(1e-3, 30), root + rng.uniform(1e-3, 30)
-            if k % 2:
-                a, b = b, a
-            assert same(lambda x: fam(x, root, scale), a, b, xtol), (xtol, k)
+            for group in (0, 1):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=scenarios._CAL_SEED, spawn_key=(group,))
+                )
+                spec = scenario(sid, 10, 10, 0, p1)
+                _, draws = scenarios._draw_failures(spec, group, scenarios._CAL_DRAWS, rng)
+                for target in (15, 30, 45):
+                    spec = scenario(sid, 10, 10, target, p1)
+                    b = calibrate_censoring(spec, target, group)
+                    rate = math.fsum(np.minimum(draws, b).tolist()) / (draws.size * b)
+                    c = target / 100
+                    assert abs(rate - c) <= 4 * math.ulp(c), (p1, sid, group, target, rate)
 
 
 @pytest.mark.parametrize("sid, group, arrays", [("D", 0, 4.5), ("D", 1, 4.5), ("C", 1, 3.5)])
