@@ -153,6 +153,8 @@ def _write_curves(base, samples):
 
 
 def cmd_analyze(args) -> int:
+    if not 0 < args.alpha < 1:  # one-arm files never reach rmtld_test's check
+        raise InputError(f"alpha must lie in (0, 1) (got {args.alpha})")
     curves = [_curve_path(args.curves, group) for group in (0, 1)] if args.curves else []
     _check_outputs(*curves, args.json)
     data = ingest_single_group_csv(

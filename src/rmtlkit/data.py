@@ -61,8 +61,9 @@ class GroupSample:
 
     def __post_init__(self):
         time = np.array(self.time, dtype=float, ndmin=1)
-        event = np.array(self.event, dtype=np.int64, ndmin=1)
+        event = np.array(self.event, ndmin=1)  # checked as given: a cast turns 1.5 into 1
         _validate_arrays(time, event)
+        event = event.astype(np.int64, copy=False)
         if time.size < 2:
             raise SampleSizeError(
                 f"group {self.group} has {time.size} subject(s); at least 2 required"

@@ -581,6 +581,17 @@ def test_bad_argument_values_exit_2(monkeypatch, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [SINGLE, FIXTURE], ids=["one-arm", "two-arm"])
+@pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+def test_analyze_bad_alpha_exit_2(tmp_path, capsys, text, alpha):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    js = tmp_path / "out.json"
+    assert main(["analyze", str(path), "--alpha", alpha, "--json", str(js)]) == 2
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not js.exists()
+
+
 def test_analyze_non_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes("time,event,group\n1,1,0\n2,0,0\n1,1,1\n2,0,1\n# caf\xe9\n".encode("latin-1"))

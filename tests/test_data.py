@@ -191,6 +191,11 @@ def test_group_sample_validation():
         GroupSample(np.array([1.0]), np.array([1]), 0)
     with pytest.raises(ValueError):
         GroupSample(np.array([0.0, 0.0]), np.array([1, 1]), 0)
+    # codes are checked as given, not after a cast to integers
+    for codes, shown in (([1.5, 0.2, 2.9], "1.5"), ([1.0, np.nan, 0.0], "nan")):
+        with pytest.raises(ValueError, match=rf"event codes must be 0, 1 or 2 \(got {shown}\)"):
+            GroupSample([1.0, 2.0, 3.0], codes, 0)
+    assert GroupSample([1.0, 2.0, 3.0], [1.0, 0.0, 2.0], 0).event.tolist() == [1, 0, 2]
 
 
 def test_sample_immutable():

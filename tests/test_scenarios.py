@@ -3,15 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scalar_oracle import piecewise_cdf, sdh_cause1_cif, sdh_cause2_cif, sdh_delta
 
 from rmtlkit import InputError, scenarios
 from rmtlkit.scenarios import (
+    SCENARIO_IDS,
     THETA_B,
     THETA_C,
     ScenarioSpec,
     _PIECES,
+    _THETA,
     calibrate_censoring,
     generate_group,
     scenario,
@@ -41,9 +44,11 @@ def test_theta_constants_rederive():
 
 def test_spec_validation():
     for bad in ({"id": "Z"}, {"censor_target": 20}, {"n0": 1}, {"n1": 1},
-                {"p1": 0.0}, {"p1": 1.5}):
+                {"p1": 0.0}, {"p1": 1.5}, {"n0": 300.5}, {"n1": 300.0}, {"n0": "300"}):
         with pytest.raises(InputError):
             scenario(**{"id": "A", "n0": 100, "n1": 100, **bad})
+    # numpy integers are integers
+    assert ScenarioSpec("C", np.int64(300), np.int32(300)).n0 == 300
 
 
 def test_preset_structure():
@@ -128,11 +133,30 @@ def test_true_rmtld_reproduces_reference():
         assert true_rmtld(spec) == pytest.approx(ref, abs=0.01), sid
 
 
-def test_true_rmtld_cached():
-    spec = scenario("A", 100, 100, 0)
-    assert true_rmtld(spec) is true_rmtld(scenario("A", 999, 999, 45)) or (
-        true_rmtld(spec) == true_rmtld(scenario("A", 999, 999, 45))
-    )
+def _cause1_cif(spec, group, t):
+    """Closed-form cause-1 cumulative incidence of one arm."""
+    if spec.id in _THETA and group == 1:
+        return sdh_cause1_cif(spec.p1, _THETA[spec.id], t)
+    if spec.id in ("A", "B", "C"):
+        return spec.p1 * (1.0 - np.exp(-t))
+    return spec.p1 * piecewise_cdf(_PIECES[spec.id][group], t)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 4.0, 7.5])
+def test_true_rmtld_matches_quadrature(tau):
+    # the RMTL is the integral of the cause-1 incidence over [0, tau];
+    # the arms coincide up to tau in A, in E up to 1 and in F up to 2
+    for sid in SCENARIO_IDS:
+        spec = scenario(sid, 100, 100, 0)
+        got = true_rmtld(spec, tau)
+        kinks = [c for c in (1.0, 2.0) if c < tau]
+        mu0, mu1 = (
+            quad(lambda t: float(_cause1_cif(spec, g, t)), 0.0, tau, points=kinks or None, limit=200)[0]
+            for g in (0, 1)
+        )
+        assert got == pytest.approx(mu1 - mu0, abs=1e-6), (sid, tau)
+        if sid == "A" or (sid == "E" and tau <= 1.0) or (sid == "F" and tau <= 2.0):
+            assert got == 0.0, (sid, tau)
 
 
 def test_calibrate_censoring_targets():

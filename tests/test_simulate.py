@@ -37,6 +37,13 @@ def test_estimation_report_shape():
     assert rep_b.metrics["rmse"]["value"] >= abs(rep_b.metrics["bias"]["value"])
 
 
+def test_estimation_omits_relative_bias_at_a_zero_truth():
+    # F's arms coincide up to t = 2, so the truth at 1.5 is exactly 0
+    rep = run_estimation_study(scenario("F", 40, 40, 0), reps=100, fixed_tau=1.5, seed=7)
+    assert rep.extra["true_delta"] == 0.0
+    assert set(rep.metrics) == {"bias", "rmse", "rel_se", "coverage"}
+
+
 def test_estimation_determinism():
     spec = scenario("B", 300, 300, 15)
     a = run_estimation_study(spec, reps=120, seed=77)
