@@ -26,15 +26,16 @@ the row's SeedSequence, and makes no SeedSequence per replicate. Results
 do not depend on the worker count, execution order or block shape, and
 every metric carries a Monte-Carlo SE.
 
-This module owns the draws and the restriction-time rule only.
-Replicates are tested in blocks of at most ``_BLOCK_ROWS`` rows and
-``_BLOCK_CELLS`` subjects by ``inference._rmtld_rows``, the two-arm
-kernel that ``rmtld_test`` runs on one row, so every row, tied or not,
-equals ``rmtld_test`` and ``gray_test`` on the same subjects bit for
-bit, and a degenerate row raises the error they raise. One study call
-uses at most one process pool for all of its replicates. The calling
-process is one of its ``workers`` processes, at most one per CPU: the
-pool holds the others, so ``workers=2`` forks one process.
+This module owns the draws and the restriction-time rule only. Each
+phase's replicates are split evenly over the fewest blocks of at most
+``_BLOCK_CELLS`` subjects, after freeing a buffer that keeps a full
+block's arrays on glibc's heap, and tested by ``inference._rmtld_rows``,
+the two-arm kernel that ``rmtld_test`` runs on one row, so every row,
+tied or not, equals ``rmtld_test`` and ``gray_test`` on the same
+subjects bit for bit, and a degenerate row raises the error they raise.
+One study call uses at most one process pool for all of its replicates.
+The calling process is one of its ``workers`` processes, at most one per
+CPU: the pool holds the others, so ``workers=2`` forks one process.
 """
 
 from __future__ import annotations
@@ -75,14 +76,14 @@ _PHASE_MAIN = 0
 _PHASE_PILOT = 1
 _PHASE_POWER = 2
 
-# Replicates per array pass: at most _BLOCK_ROWS rows and, above one row,
-# at most _BLOCK_CELLS subjects (rows x (n0 + n1)). Rows are computed
-# independently, so any block size gives the same bits; larger blocks only
-# add peak memory (one row costs about 37 MB per 100,000 subjects). The
-# cell budget keeps 32 rows for every B-F design (up to 2,048 per arm)
-# and gives one row near MAX_ARM.
-_BLOCK_ROWS = 32
-_BLOCK_CELLS = 2**17
+# Replicates per array pass: a phase's reps split evenly over the fewest
+# blocks of at most _BLOCK_CELLS cells, rows x (n0 + n1), or one row. Rows
+# are computed independently, so any block shape gives the same bits. A warm
+# block peaks near 100 bytes per cell; glibc keeps it on the heap only below
+# its trim threshold, twice the largest mmap chunk freed so far, so each
+# phase first frees _HEAP_FLOATS floats per cell and no block faults anew.
+_BLOCK_CELLS = 2**15
+_HEAP_FLOATS = 8
 
 # A pooled call cuts its replicates into at least this many blocks (reps
 # permitting), so its processes, the caller included, finish together and
@@ -301,18 +302,20 @@ def _chunk_worker(args):
 
 
 def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -> dict:
-    """Replicates ``0 .. reps-1`` of ``phase`` in blocks of at most
-    ``_BLOCK_ROWS`` rows and ``_BLOCK_CELLS`` subjects; rows in index
-    order. ``pool`` is None, and this process runs every block, or the
-    ``(executor, processes)`` pair of ``_pool``: the blocks are then cut
-    into ``processes`` contiguous shares, each pool worker gets one
-    share as one work item, and this process runs the first share,
-    which holds the lowest indices, so the first degenerate row in
-    index order still raises."""
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (spec.n0 + spec.n1)))
+    """Replicates ``0 .. reps-1`` of ``phase`` in even blocks of at most
+    ``_BLOCK_CELLS`` cells or one row, after freeing the heap buffer; rows
+    in index order. ``pool`` is None, and this process runs every block,
+    or the ``(executor, processes)`` pair of ``_pool``: the blocks are then
+    cut into ``processes`` contiguous shares, each pool worker gets one
+    share as one work item, and this process runs the first share, which
+    holds the lowest indices, so the first degenerate row in index order
+    still raises."""
+    rows = max(1, _BLOCK_CELLS // (spec.n0 + spec.n1))
     if pool is not None:
         rows = min(rows, -(-reps // _POOL_JOBS))
-    blocks = [range(k, min(k + rows, reps)) for k in range(0, reps, rows)]
+    count = -(-reps // rows)
+    blocks = [range(k * reps // count, (k + 1) * reps // count) for k in range(count)]
+    np.empty(_HEAP_FLOATS * _BLOCK_CELLS)  # freed at once; pool workers fork after it
     jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
     share, theirs = len(jobs), []
     if pool is not None:

@@ -97,8 +97,12 @@ def test_block_size_invariance(monkeypatch):
     spec = scenario("E", 40, 30, 15)
     runs = []
     for rows in (1, 7, 32, 75):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", rows * (spec.n0 + spec.n1))
         runs.append(_map_replicates(spec, SEED, 75, None))
+    # the even split cuts 75 reps into 25-row blocks at a 32-row budget, so
+    # 32-row blocks are composed here
+    blocks = [_replicate_block(spec, SEED, range(k, min(k + 32, 75))) for k in (0, 32, 64)]
+    runs.append({name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
     # another composition: scattered indices in one block
     shuffled = np.random.default_rng(0).permutation(75)
     block = _replicate_block(spec, SEED, shuffled.tolist())

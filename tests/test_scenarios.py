@@ -21,14 +21,15 @@ from rmtlkit.scenarios import (
     true_rmtld,
 )
 
-# Reference true RMTL differences of the built-in scenarios at tau = 4.
+# True RMTL differences of the built-in scenarios at tau = 4: B and C are
+# the references THETA_B and THETA_C solve for, the rest quadrature values.
 REFERENCE_DELTA = {
-    "A": 0.00004,
+    "A": 0.0,
     "B": -0.3935,
     "C": -0.5141,
-    "D": -0.2986,
-    "E": -0.3517,
-    "F": -0.1729,
+    "D": -0.2978053,
+    "E": -0.3515849,
+    "F": -0.1713249,
 }
 
 
@@ -130,7 +131,7 @@ def test_piecewise_cdf_continuity():
 def test_true_rmtld_reproduces_reference():
     for sid, ref in REFERENCE_DELTA.items():
         spec = scenario(sid, 100, 100, 0)
-        assert true_rmtld(spec) == pytest.approx(ref, abs=0.01), sid
+        assert true_rmtld(spec) == pytest.approx(ref, abs=1e-6), sid
 
 
 def _cause1_cif(spec, group, t):

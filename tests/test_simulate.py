@@ -2,12 +2,17 @@ import json
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmtlkit
 from rmtlkit import DegenerateTestError, SimulationError, inference, simulate
 from rmtlkit.design import DesignInput, sample_size
 from rmtlkit.scenarios import calibrate_censoring, scenario
@@ -346,6 +351,54 @@ def test_block_peak_memory(cell):
     assert peak <= 3.2e6
 
 
+# a warm full-budget block of the sim-power cell, of the same cell
+# uncensored, and of the largest B-F design's pilot at 45% censoring
+BUDGET_BLOCKS = {
+    "C-300-30-power": (scenario("C", 300, 300, 30), {"phase": simulate._PHASE_POWER}),
+    "C-300-0-power": (scenario("C", 300, 300, 0), {"phase": simulate._PHASE_POWER}),
+    "F-2048-45-pilot": (scenario("F", 2048, 2048, 45), {"phase": simulate._PHASE_PILOT}),
+}
+
+
+@pytest.mark.parametrize("cell", BUDGET_BLOCKS)
+def test_budget_block_fits_the_heap_window(cell):
+    # glibc trims the heap when more than twice the largest freed mmap chunk
+    # sits free at its top, so a block that peaks below twice the buffer
+    # _map_replicates frees first leaves its arrays on the heap for the next
+    spec, options = BUDGET_BLOCKS[cell]
+    rows = simulate._BLOCK_CELLS // (spec.n0 + spec.n1)
+    _replicate_block(spec, 1, range(rows), **options)
+    tracemalloc.start()
+    try:
+        _replicate_block(spec, 2, range(rows), **options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * simulate._HEAP_FLOATS * simulate._BLOCK_CELLS
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim rule")
+def test_warm_uncensored_study_reuses_its_heap():
+    # an uncensored study never calibrates, so only the buffer _map_replicates
+    # frees raises glibc's trim threshold; a fresh interpreter keeps other
+    # tests' frees out of the count
+    code = (
+        "import resource\n"
+        "from rmtlkit import run_power_study, scenario\n"
+        "spec = scenario('C', 300, 300, 0)\n"
+        "run_power_study(spec, reps=200, seed=1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run_power_study(spec, reps=200, seed=2)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(rmtlkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 100
+
+
 @pytest.mark.parametrize("cell", ["C-300-power", "D-511-pilot"])
 def test_few_row_sums_fall_back_to_math_fsum(cell, monkeypatch):
     # a certificate that never holds would give the same bits at the old
@@ -370,17 +423,29 @@ def test_few_row_sums_fall_back_to_math_fsum(cell, monkeypatch):
 
 
 def test_block_rows_follow_the_cell_budget(monkeypatch):
-    # near MAX_ARM a block holds one row; B-F designs (up to 1,576 per arm)
-    # keep 32-row blocks. The blocks are recorded, not drawn.
+    # near MAX_ARM a block holds one row; elsewhere a phase's reps are split
+    # evenly over the fewest blocks of at most _BLOCK_CELLS cells (10 rows
+    # at 1,576 per arm, 54 at 300), and a pooled call cuts at least
+    # _POOL_JOBS blocks. The blocks are recorded, not drawn.
     blocks = []
 
     def record(spec, seed, indices, phase, fixed_tau):
         blocks.append(len(indices))
         return {"delta": np.zeros(len(indices))}
 
+    class Inline:
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
     monkeypatch.setattr(simulate, "_replicate_block", record)
-    for n, rows in ((50_000, [1, 1, 1]), (1_576, [32, 8]), (300, [32, 8])):
+    for n, pool, rows in (
+        (50_000, None, [1, 1, 1]),
+        (1_576, None, [8, 8, 9]),
+        (300, None, [50, 50]),
+        (300, (Inline(), 2), [25] * 8),
+        (511, (Inline(), 2), [12, 13] * 4),
+    ):
         blocks.clear()
         reps = sum(rows)
-        out = _map_replicates(scenario("D", n, n, 15), 0, reps, None, phase=2)
+        out = _map_replicates(scenario("D", n, n, 15), 0, reps, pool, phase=2)
         assert blocks == rows and out["delta"].size == reps
