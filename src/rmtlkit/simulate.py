@@ -77,11 +77,12 @@ _PHASE_PILOT = 1
 _PHASE_POWER = 2
 
 # Replicates per array pass: a phase's reps split evenly over the fewest
-# blocks of at most _BLOCK_CELLS cells, rows x (n0 + n1), or one row. Rows
-# are computed independently, so any block shape gives the same bits. A warm
-# block peaks near 100 bytes per cell; glibc keeps it on the heap only below
-# its trim threshold, twice the largest mmap chunk freed so far, so each
-# phase first frees _HEAP_FLOATS floats per cell and no block faults anew.
+# blocks of at most _BLOCK_CELLS cells, rows x (n0 + n1), or one row. Rows are
+# computed independently, so any block shape gives the same bits. A block peaks
+# near 100 bytes per cell, a row wider than Gray's 2^13-subject slice near 240
+# per subject; glibc keeps that on the heap below its trim threshold, twice the
+# largest mmap chunk freed so far, so each phase (and any worker it forks)
+# first frees _HEAP_FLOATS floats per budget cell or per three row cells.
 _BLOCK_CELLS = 2**15
 _HEAP_FLOATS = 8
 
@@ -315,7 +316,7 @@ def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -
         rows = min(rows, -(-reps // _POOL_JOBS))
     count = -(-reps // rows)
     blocks = [range(k * reps // count, (k + 1) * reps // count) for k in range(count)]
-    np.empty(_HEAP_FLOATS * _BLOCK_CELLS)  # freed at once; pool workers fork after it
+    np.empty(_HEAP_FLOATS * max(_BLOCK_CELLS, 3 * (spec.n0 + spec.n1)))  # freed at once
     jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
     share, theirs = len(jobs), []
     if pool is not None:

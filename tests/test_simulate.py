@@ -352,11 +352,13 @@ def test_block_peak_memory(cell):
 
 
 # a warm full-budget block of the sim-power cell, of the same cell
-# uncensored, and of the largest B-F design's pilot at 45% censoring
+# uncensored and of the largest B-F design's pilot at 45% censoring, and a
+# one-row power block wider than Gray's 2^13-subject slice
 BUDGET_BLOCKS = {
     "C-300-30-power": (scenario("C", 300, 300, 30), {"phase": simulate._PHASE_POWER}),
     "C-300-0-power": (scenario("C", 300, 300, 0), {"phase": simulate._PHASE_POWER}),
     "F-2048-45-pilot": (scenario("F", 2048, 2048, 45), {"phase": simulate._PHASE_PILOT}),
+    "D-10000-15-power": (scenario("D", 10_000, 10_000, 15), {"phase": simulate._PHASE_POWER}),
 }
 
 
@@ -366,7 +368,8 @@ def test_budget_block_fits_the_heap_window(cell):
     # sits free at its top, so a block that peaks below twice the buffer
     # _map_replicates frees first leaves its arrays on the heap for the next
     spec, options = BUDGET_BLOCKS[cell]
-    rows = simulate._BLOCK_CELLS // (spec.n0 + spec.n1)
+    cells = spec.n0 + spec.n1
+    rows = max(1, simulate._BLOCK_CELLS // cells)
     _replicate_block(spec, 1, range(rows), **options)
     tracemalloc.start()
     try:
@@ -374,7 +377,7 @@ def test_budget_block_fits_the_heap_window(cell):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * simulate._HEAP_FLOATS * simulate._BLOCK_CELLS
+    assert peak < 2 * 8 * simulate._HEAP_FLOATS * max(simulate._BLOCK_CELLS, 3 * cells)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim rule")
