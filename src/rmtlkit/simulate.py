@@ -3,8 +3,8 @@
 Three study modes over the built-in scenarios:
 
 * estimation  - fixed restriction time (default 4.0): bias, RMSE,
-  relative SE (mean model SE / empirical SD) and CI coverage against a
-  cached large-sample truth.
+  relative SE (mean model SE / empirical SD) and CI coverage against
+  the exact ``true_rmtld``.
 * power       - data-driven restriction time (min-max rule): rejection
   rates of the RMTL-difference test and Gray's test.
 * samplesize  - pilot-averaged effect and variances feed the design
@@ -26,13 +26,15 @@ the row's SeedSequence, and makes no SeedSequence per replicate. Results
 do not depend on the worker count, execution order or block shape, and
 every metric carries a Monte-Carlo SE.
 
-This module owns the draws and the restriction-time rule only. Each
-phase's replicates are split evenly over the fewest blocks of at most
-``_BLOCK_CELLS`` subjects, after freeing a buffer that keeps a full
-block's arrays on glibc's heap, and tested by ``inference._rmtld_rows``,
-the two-arm kernel that ``rmtld_test`` runs on one row, so every row,
-tied or not, equals ``rmtld_test`` and ``gray_test`` on the same
-subjects bit for bit, and a degenerate row raises the error they raise.
+This module owns the draws and the restriction-time rule only. One
+plan cuts each phase's replicates, serial or pooled: each process runs
+an equal share of the fewest blocks of at most ``_BLOCK_CELLS`` subjects
+(or one row) that hold its part, the replicates split evenly over all
+the blocks, after freeing a buffer that keeps a full block's arrays on
+glibc's heap. Each block is tested by ``inference._rmtld_rows``, the
+two-arm kernel that ``rmtld_test`` runs on one row, so every row, tied
+or not, equals ``rmtld_test`` and ``gray_test`` on the same subjects bit
+for bit, and a degenerate row raises the error they raise.
 One study call uses at most one process pool for all of its replicates.
 The calling process is one of its ``workers`` processes, at most one per
 CPU: the pool holds the others, so ``workers=2`` forks one process.
@@ -76,21 +78,17 @@ _PHASE_MAIN = 0
 _PHASE_PILOT = 1
 _PHASE_POWER = 2
 
-# Replicates per array pass: a phase's reps split evenly over the fewest
-# blocks of at most _BLOCK_CELLS cells, rows x (n0 + n1), or one row. Rows are
-# computed independently, so any block shape gives the same bits. A block peaks
-# near 100 bytes per cell, a row wider than Gray's 2^13-subject slice near 240
-# per subject; glibc keeps that on the heap below its trim threshold, twice the
-# largest mmap chunk freed so far, so each phase (and any worker it forks)
-# first frees _HEAP_FLOATS floats per budget cell or per three row cells.
+# Replicates per array pass: each process (one when serial) runs an equal
+# share of the fewest blocks of at most _BLOCK_CELLS cells, rows x (n0 + n1),
+# or one row, that hold its part of a phase's reps; the reps are split evenly
+# over all the blocks. Rows are computed independently, so any block shape
+# gives the same bits. A block peaks near 100 bytes per cell, a row wider than
+# Gray's 2^13-subject slice near 240 per subject; glibc keeps that on the
+# heap below its trim threshold, twice the largest mmap chunk freed so far, so
+# each phase (and any worker it forks) first frees _HEAP_FLOATS floats per
+# budget cell or per three row cells.
 _BLOCK_CELLS = 2**15
 _HEAP_FLOATS = 8
-
-# A pooled call cuts its replicates into at least this many blocks (reps
-# permitting), so its processes, the caller included, finish together and
-# hold small blocks (32-row blocks of the designed D 300/300 sample-size
-# cell raised their peak RSS by 7-10%).
-_POOL_JOBS = 8
 
 # per-replicate outputs of the block kernel, exact statistics and no
 # p-values (a study decides rejections by ``inference._rejects``); NaN
@@ -303,28 +301,25 @@ def _chunk_worker(args):
 
 
 def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -> dict:
-    """Replicates ``0 .. reps-1`` of ``phase`` in even blocks of at most
-    ``_BLOCK_CELLS`` cells or one row, after freeing the heap buffer; rows
-    in index order. ``pool`` is None, and this process runs every block,
-    or the ``(executor, processes)`` pair of ``_pool``: the blocks are then
-    cut into ``processes`` contiguous shares, each pool worker gets one
-    share as one work item, and this process runs the first share, which
-    holds the lowest indices, so the first degenerate row in index order
-    still raises."""
+    """Replicates ``0 .. reps-1`` of ``phase`` in index order, after
+    freeing the heap buffer. ``pool`` is None for one process, or the
+    ``(executor, processes)`` pair of ``_pool``; one plan serves both.
+    Each process runs ``share`` blocks, the fewest of at most
+    ``_BLOCK_CELLS`` cells or one row that hold its part, and the reps
+    are split evenly over ``share * processes`` blocks, or one per rep.
+    This process runs the first share, which holds the lowest indices,
+    so the first degenerate row in index order still raises; each pool
+    worker gets its share as one work item."""
+    executor, processes = pool or (None, 1)
     rows = max(1, _BLOCK_CELLS // (spec.n0 + spec.n1))
-    if pool is not None:
-        rows = min(rows, -(-reps // _POOL_JOBS))
-    count = -(-reps // rows)
+    share = -(-reps // (rows * processes))
+    count = min(share * processes, reps)
     blocks = [range(k * reps // count, (k + 1) * reps // count) for k in range(count)]
     np.empty(_HEAP_FLOATS * max(_BLOCK_CELLS, 3 * (spec.n0 + spec.n1)))  # freed at once
     jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
-    share, theirs = len(jobs), []
-    if pool is not None:
-        executor, processes = pool
-        share = -(-len(jobs) // processes)
-        # Executor.map submits every work item before this process starts
-        # on its own share
-        theirs = executor.map(_chunk_worker, jobs[share:], chunksize=share)
+    # Executor.map submits every work item before this process starts on its
+    # own share; one process leaves none to hand out
+    theirs = executor.map(_chunk_worker, jobs[share:], chunksize=share) if jobs[share:] else []
     parts = [_replicate_block(*job) for job in jobs[:share]] + list(theirs)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 

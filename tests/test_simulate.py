@@ -150,8 +150,8 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
 
 
 # replicates that fail in the pooled power study of STUDIES: its 100
-# replicates run in 8 blocks of 13 rows, so with two processes the caller
-# runs replicates 0-51 and the pool worker 52-99
+# replicates run in two blocks of 50 rows, so with two processes the caller
+# runs replicates 0-49 and the pool worker 50-99
 FAILING = {"caller": {10}, "worker": {70}, "both": {30, 60}}
 
 
@@ -426,15 +426,16 @@ def test_few_row_sums_fall_back_to_math_fsum(cell, monkeypatch):
 
 
 def test_block_rows_follow_the_cell_budget(monkeypatch):
-    # near MAX_ARM a block holds one row; elsewhere a phase's reps are split
-    # evenly over the fewest blocks of at most _BLOCK_CELLS cells (10 rows
-    # at 1,576 per arm, 54 at 300), and a pooled call cuts at least
-    # _POOL_JOBS blocks. The blocks are recorded, not drawn.
+    # near MAX_ARM a block holds one row; elsewhere each process gets an
+    # equal share of the fewest blocks of at most _BLOCK_CELLS cells (10 rows
+    # at 1,576 per arm, 54 at 300, 32 at 511) that hold its part, and the reps
+    # are split evenly over all the shares' blocks, at least one rep each.
+    # The blocks are recorded, not drawn.
     blocks = []
 
     def record(spec, seed, indices, phase, fixed_tau):
         blocks.append(len(indices))
-        return {"delta": np.zeros(len(indices))}
+        return {"delta": np.array(indices, dtype=float)}
 
     class Inline:
         def map(self, fn, jobs, chunksize):
@@ -445,10 +446,15 @@ def test_block_rows_follow_the_cell_budget(monkeypatch):
         (50_000, None, [1, 1, 1]),
         (1_576, None, [8, 8, 9]),
         (300, None, [50, 50]),
-        (300, (Inline(), 2), [25] * 8),
-        (511, (Inline(), 2), [12, 13] * 4),
+        (300, (Inline(), 2), [50] * 4),
+        (511, (Inline(), 2), [25] * 4),
     ):
         blocks.clear()
         reps = sum(rows)
         out = _map_replicates(scenario("D", n, n, 15), 0, reps, pool, phase=2)
         assert blocks == rows and out["delta"].size == reps
+    # more processes than budget blocks: one nonempty block each
+    blocks.clear()
+    out = _map_replicates(scenario("D", 300, 300, 15), 0, 100, (Inline(), 64), phase=2)
+    assert len(blocks) == 64 and 0 not in blocks
+    assert out["delta"].tolist() == list(range(100))
