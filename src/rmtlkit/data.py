@@ -144,12 +144,11 @@ def build_event_table(sample: GroupSample) -> EventTable:
     under permutation of the input records. A sample with no events
     yields an empty table.
     """
-    times, counts, at_risk, _, _ = _tie_groups(sample.time[None], sample.event[None], 3)
+    # the group keys and sort order die here, before the event rows are cut
+    times, counts, at_risk = _tie_groups(sample.time[None], sample.event[None], 3)[:3]
     d1, d2 = counts[EVENT_INTEREST, 0], counts[EVENT_COMPETING, 0]
     event = d1 + d2 > 0
-    return EventTable(
-        times[0, event], *(a[event].astype(np.int64) for a in (d1, d2, at_risk[0, 0]))
-    )
+    return EventTable(times[0, event], d1[event], d2[event], at_risk[0, 0, event])
 
 
 def _tie_groups(t: np.ndarray, labels: np.ndarray, n_labels: int):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ def test_event_table_risk_set_brute_force():
         for t, y in zip(table.times, table.at_risk):
             assert y == np.sum(time >= t)
         assert table.total_events == np.sum(event != 0)
+
+
+def test_event_table_peak_memory():
+    # tracemalloc peak for one untied arm of 2 * 10^5 subjects (Python 3.11.7,
+    # numpy 2.4.6): 19.54 MB while the sort order was held and the event rows
+    # re-copied to int64, 17.94 MB without either; both give the same arrays
+    rng = np.random.default_rng(5)
+    sample = GroupSample(rng.random(200_000), rng.integers(0, 3, 200_000))
+    build_event_table(sample)
+    tracemalloc.start()
+    try:
+        table = build_event_table(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18_700_000, peak
+    assert [a.dtype for a in (table.d1, table.d2, table.at_risk)] == [np.int64] * 3
+    assert table.total_events == np.count_nonzero(sample.event)
 
 
 def test_select_tau():
