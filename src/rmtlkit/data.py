@@ -167,11 +167,15 @@ def _tie_groups(t: np.ndarray, labels: np.ndarray, n_labels: int):
       censored at an event time stays at risk there;
     * ``key[r, i]``: the flat index ``r * K + g`` of the group of the
       i-th subject of row r in time order, which is subject
-      ``order[r, i]``.
+      ``order[r, i]``. That is a flat position ``r * n + j`` (j the
+      column), as a 1-D ``np.take`` is several times faster than a 2-D
+      gather: ``np.take(t, order)`` is the sorted block, also for a
+      strided slice such as ``t[:, :n0]``, read in logical order.
     """
     rows, n = t.shape
     order = np.argsort(t, axis=1)
-    ts = np.take_along_axis(t, order, axis=1)
+    order += n * np.arange(rows)[:, None]
+    ts = np.take(t, order)
     new = np.ones((rows, n), dtype=bool)
     np.not_equal(ts[:, 1:], ts[:, :-1], out=new[:, 1:])
     # in place, so a one-row call on a large file holds few subject-length arrays
@@ -179,7 +183,7 @@ def _tie_groups(t: np.ndarray, labels: np.ndarray, n_labels: int):
     width = int(key[:, -1].max())
     key += width * np.arange(rows)[:, None] - 1
     size = rows * width
-    index = np.take_along_axis(labels, order, axis=1)
+    index = np.take(labels, order)
     index *= size
     index += key
     counts = np.bincount(index.ravel(), minlength=n_labels * size).reshape(n_labels, rows, width)

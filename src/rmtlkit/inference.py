@@ -143,9 +143,13 @@ def variance_rmtl(pair: CifPair, tau: float) -> float:
 
 def _arm_rmtl(t, e, tau: np.ndarray):
     """``_rmtl_rows`` on the tie groups of a block of one-arm samples:
-    times ``t`` and event codes ``e`` (rows, n), in any order."""
+    times ``t`` and event codes ``e`` (rows, n), in any order. Its counts
+    are float64, exact below 2^53, so no float ufunc casts an int64 input."""
     times, counts, at_risk, _, _ = _tie_groups(t, e, 3)
-    return _rmtl_rows(times, counts[EVENT_INTEREST], counts[EVENT_COMPETING], at_risk[0], tau)
+    planes = (counts[EVENT_INTEREST], counts[EVENT_COMPETING], at_risk[0])
+    d1, d2, y = (a.astype(float) for a in planes)
+    del counts, at_risk, planes  # before _rmtl_rows allocates
+    return _rmtl_rows(times, d1, d2, y, tau)
 
 
 def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):
@@ -650,20 +654,21 @@ def _gray_rows(t, e, n0: int, cause: int):
     risk set at the start of a group, the censoring survival G(t-) of
     the arm, the weighted risk process, score, compensators and the
     residual of each event code. The grid is the set of groups with a
-    ``cause`` event; other groups add exactly 0. Each arm's subjects
-    then gather their residual from their group, in sample order, and
-    the arm's sum of squares is correctly rounded by ``_row_fsums``, as
-    is the score. Only squares are summed, so residuals are kept up to
-    sign. This kernel sets the peak memory of a replicate block, so the
-    tie-group counts are released before the residuals are built, one
-    arm at a time (see ``_GRAY_CELLS``). Returns ``(statistic,
-    variance)``.
+    ``cause`` event; other groups add exactly 0. One scatter through the
+    flat positions of ``_tie_groups`` puts each subject's group key in
+    sample order, and each arm's subjects gather their residual by one
+    flat ``np.take`` at event code * grid size + key. The arm's sum of
+    squares is correctly rounded by ``_row_fsums``, as is the score.
+    Only squares are summed, so residuals are kept up to sign. This
+    kernel sets the peak memory of a replicate block, so the tie-group
+    counts are released before the residuals are built, one arm at a
+    time (see ``_GRAY_CELLS``). Returns ``(statistic, variance)``.
     """
     rows, n = t.shape
     other = EVENT_COMPETING if cause == EVENT_INTEREST else EVENT_INTEREST
     label = e + 3 * (np.arange(n) >= n0)  # arm * 3 + event code
     _, counts, at_risk, key, order = _tie_groups(t, label, 6)
-    np.put_along_axis(key, order, key.copy(), axis=1)  # now in sample order
+    key.reshape(-1)[order.reshape(-1)] = key.reshape(-1).copy()  # now in sample order
     d_pool = counts[cause] + counts[3 + cause]
 
     arms = []
@@ -695,7 +700,7 @@ def _gray_rows(t, e, n0: int, cause: int):
             eta[EVENT_CENSORED] = comp.ravel()
             eta[cause] = (c - comp).ravel()
             eta[other] = (comp + comp_other).ravel()
-            residual = eta[e[:, cols], key[:, cols]]
+            residual = np.take(eta, e[:, cols] * r_k.size + key[:, cols])
             var = var + _row_fsums(residual * residual, True)
     with np.errstate(divide="ignore", invalid="ignore"):
         return z * z / var, var

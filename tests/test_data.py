@@ -15,7 +15,8 @@ from rmtlkit import (
     rmtl,
     select_tau,
 )
-from rmtlkit.data import ingest_single_group_csv
+from rmtlkit.data import _tie_groups, ingest_single_group_csv
+from rmtlkit.inference import _rmtl_rows
 
 FIXTURE_CSV = b"time,event,group\n1,1,0\n2,0,0\n3,1,1\n4,2,1\n"
 
@@ -168,6 +169,37 @@ def test_event_table_risk_set_brute_force():
         for t, y in zip(table.times, table.at_risk):
             assert y == np.sum(time >= t)
         assert table.total_events == np.sum(event != 0)
+
+
+def test_tie_groups_flat_positions_on_a_strided_arm_slice():
+    # rows 0-2 tied (times on a coarse grid), rows 3-5 untied, so the rows'
+    # group widths differ and the narrower ones are padded
+    rng = np.random.default_rng(11)
+    rows, n0, n1 = 6, 9, 23
+    t = rng.exponential(2.0, (rows, n0 + n1))
+    t[:3] = np.round(t[:3] * [[1], [2], [4]]) / 2
+    e = rng.integers(0, 3, (rows, n0 + n1))
+    arm, labels = t[:, n0:], e[:, n0:]  # strided views, not contiguous
+    times, counts, at_risk, key, order = _tie_groups(arm, labels, 3)
+    width = times.shape[1]
+    assert np.array_equal(np.take(arm, order), np.sort(arm, axis=1))
+    assert np.array_equal(order // n1, np.broadcast_to(np.arange(rows)[:, None], order.shape))
+    widths = set()
+    for r in range(rows):
+        one = _tie_groups(arm[r : r + 1], labels[r : r + 1], 3)
+        w = one[0].shape[1]
+        widths.add(w)
+        assert np.array_equal(times[r, :w], one[0][0]) and np.all(times[r, w:] == np.inf)
+        assert np.array_equal(counts[:, r, :w], one[1][:, 0]) and not counts[:, r, w:].any()
+        assert np.array_equal(at_risk[:, r, :w], one[2][:, 0]) and not at_risk[:, r, w:].any()
+        assert np.array_equal(key[r] - r * width, one[3][0])
+        assert np.array_equal(order[r] - r * n1, one[4][0])
+    assert len(widths) > 2 and max(widths) == width
+    # float64 holds every count exactly, so the RMTL kernel's bits do not move
+    tau = np.median(arm, axis=1)
+    by_int = _rmtl_rows(times, counts[1], counts[2], at_risk[0], tau)
+    by_float = _rmtl_rows(times, *(a.astype(float) for a in (counts[1], counts[2], at_risk[0])), tau)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(by_int, by_float))
 
 
 def test_event_table_peak_memory():
