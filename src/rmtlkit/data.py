@@ -167,10 +167,11 @@ def _tie_groups(t: np.ndarray, labels: np.ndarray, n_labels: int):
       censored at an event time stays at risk there;
     * ``key[r, i]``: the flat index ``r * K + g`` of the group of the
       i-th subject of row r in time order, which is subject
-      ``order[r, i]``. That is a flat position ``r * n + j`` (j the
-      column), as a 1-D ``np.take`` is several times faster than a 2-D
-      gather: ``np.take(t, order)`` is the sorted block, also for a
-      strided slice such as ``t[:, :n0]``, read in logical order.
+      ``order[r, i]``: a flat position ``r * n + j`` in the block (j
+      its column). A 1-D ``np.take`` on flat positions is several times
+      faster than a 2-D gather; ``np.take(t, order)`` is the sorted
+      block, also for a strided slice such as ``t[:, :n0]``, which it
+      reads in logical order.
     """
     rows, n = t.shape
     order = np.argsort(t, axis=1)
