@@ -143,13 +143,9 @@ def variance_rmtl(pair: CifPair, tau: float) -> float:
 
 def _arm_rmtl(t, e, tau: np.ndarray):
     """``_rmtl_rows`` on the tie groups of a block of one-arm samples:
-    times ``t`` and event codes ``e`` (rows, n), in any order. Its counts
-    are float64, exact below 2^53, so no float ufunc casts an int64 input."""
-    times, counts, at_risk, _, _ = _tie_groups(t, e, 3)
-    planes = (counts[EVENT_INTEREST], counts[EVENT_COMPETING], at_risk[0])
-    d1, d2, y = (a.astype(float) for a in planes)
-    del counts, at_risk, planes  # before _rmtl_rows allocates
-    return _rmtl_rows(times, d1, d2, y, tau)
+    times ``t`` and event codes ``e`` (rows, n), in any order."""
+    times, counts, at_risk = _tie_groups(t, e, 3)[:3]
+    return _rmtl_rows(times, counts[EVENT_INTEREST], counts[EVENT_COMPETING], at_risk[0], tau)
 
 
 def _rmtl_rows(times, d1, d2, y, tau: np.ndarray):

@@ -103,20 +103,6 @@ MUTANTS = [
         None,
     ),
     (
-        "float32-counts", "inference.py",
-        "d1, d2, y = (a.astype(float) for a in planes)",
-        "d1, d2, y = (a.astype(np.float32) for a in planes)",
-        None,
-    ),
-    (
-        "float32-event-counts", "inference.py",
-        "d1, d2, y = (a.astype(float) for a in planes)",
-        "d1, d2, y = (*(a.astype(np.float32) for a in planes[:2]), planes[2].astype(float))",
-        "float32 holds every count below 2^24 exactly, and every ufunc that divides "
-        "or multiplies a count meets the float64 risk set or a float64 curve, so it "
-        "computes in float64; a tie group of 2^24 subjects is beyond any test's memory",
-    ),
-    (
         "clean-reader-takes-inf", "data.py",
         "if not (time.min() >= 0 and time.max() < math.inf):",
         "if not (time.min() >= 0 and time.max() <= math.inf):",
