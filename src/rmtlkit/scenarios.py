@@ -17,8 +17,8 @@ Event types are binomial per subject; conditional failure times come
 from exact inverse-CDF sampling. Piecewise Weibulls are spliced on the
 hazard scale, so cumulative incidence stays continuous across
 breakpoints while the hazard may jump. Censoring is uniform on
-(0, bound) with the bound calibrated to a target censoring rate. True
-effects integrate the same inverse CDFs on a fixed grid, drawing nothing.
+(0, bound) with the bound calibrated to a target censoring rate. The bound
+and the true effects read the same inverse CDFs on fixed nodes, drawing nothing.
 
 The populations are fixed: only arm sizes, censoring target and ``p1``
 vary; the B/C effects (``THETA_B``, ``THETA_C``) and the D-F hazard
@@ -55,8 +55,7 @@ THETA_B = -0.3127843631814181
 THETA_C = -0.4146532377304649
 _THETA = {"B": THETA_B, "C": THETA_C}
 
-_CAL_SEED = 202608  # internal draw for censoring-bound calibration
-_CAL_DRAWS = 200_000  # latent failure times per arm for calibration
+_CAL_POINTS = 2**16  # quantile nodes per cause on (0, 1) for the censoring bound
 _TRUTH_POINTS = 2**18  # midpoint-rule nodes on (0, 1) for the true effect
 
 
@@ -188,16 +187,6 @@ def _failure_times(spec: ScenarioSpec, group: int, cause, u: np.ndarray) -> np.n
     return times
 
 
-def _draw_failures(spec: ScenarioSpec, group: int, n: int, rng) -> tuple:
-    """Latent event types, one byte each, and failure times for one arm,
-    uncensored. The failure-time uniforms refill the cause uniforms'
-    buffer: the same stream as two fresh draws, with one array fewer."""
-    u = rng.random(n)
-    cause = np.add(u >= _cause1_share(spec, group), 1, dtype=np.uint8)
-    rng.random(out=u)
-    return cause, _failure_times(spec, group, cause, u)
-
-
 def _observe(spec: ScenarioSpec, group: int, u: np.ndarray, bound: float | None) -> tuple:
     """Observed times and event codes from raw uniforms: types from ``u[0]``,
     failure times from ``u[1]``, censoring on (0, ``bound``) from ``u[2]``."""
@@ -233,18 +222,16 @@ _censor_cache: dict = {}
 def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | None:
     """Uniform censoring bound giving the target censoring percentage.
 
-    Draws ``_CAL_DRAWS`` latent failure times once, then solves
-    g(b) = mean(min(T, b)) / b = c, c = target/100, for b; under
-    C ~ U(0, b) that mean is exactly the censoring probability, so a
-    fresh draw lands within Monte-Carlo noise (well inside one
-    percentage point) of the target. Target 0 means no censoring at all
-    and returns None.
+    Solves g(b) = E[min(T, b)] / b = c, c = target/100, the censoring rate
+    under C ~ U(0, b), with the arm's latent failure time T read off the
+    sampler's own quantiles, no random draw: each cause's quantile at
+    u = (i + 1/2) / N, N = ``_CAL_POINTS``, weighted P(cause) / N, so arms
+    drawn from one law get one bound. Target 0 (no censoring) gives None.
 
-    On the sorted draws t_1 <= ... <= t_n with prefix sums P_k,
-    g(b) = P_k / (n b) + (n - k) / n for b in [t_k, t_k+1). g falls
-    continuously from 1 to 0, so with k the last index where
-    g(t_k) > c the root is b = P_k / (n c - (n - k)), found by bisection
-    on k; a root exists for every target in (0, 1).
+    On the 2N sorted nodes, g(b) = P_k / b + W_k for b in [t_k, t_k+1),
+    with P_k the weighted sum of the k smallest nodes and W_k the weight
+    above them. g falls continuously from 1 to 0, so with k the count of
+    nodes where g(t_k) > c, the root is b = P_k / (c - W_k).
     """
     if target not in CENSOR_TARGETS:
         raise InputError(f"target must be one of {CENSOR_TARGETS}")
@@ -253,20 +240,32 @@ def calibrate_censoring(spec: ScenarioSpec, target: int, group: int) -> float | 
     key = (spec.id, spec.p1, group, target)
     if key in _censor_cache:
         return _censor_cache[key]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=_CAL_SEED, spawn_key=(group,))
-    )
-    _, times = _draw_failures(spec, group, _CAL_DRAWS, rng)
-    times.sort()
-    n, frac = times.size, target / 100.0
-    lo, hi = 1, n + 1  # g(t_lo) > c, and g(t_hi) <= c or hi = n + 1
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        if times[:k].sum() + (n - k) * times[k - 1] > frac * n * times[k - 1]:
-            lo = k
-        else:
-            hi = k
-    bound = float(times[:lo].sum() / (n * frac - (n - lo)))
+    n, frac = _CAL_POINTS, target / 100.0
+    share = _cause1_share(spec, group)
+    w1, w2 = share / n, (1.0 - share) / n
+    u = (np.arange(n) + 0.5) / n
+    times = np.concatenate([_failure_times(spec, group, cause, u) for cause in (1, 2)])
+    del u
+    order = np.argsort(times, kind="stable")  # ties in one order on every host
+    times, first = times[order], order < n  # first: the cause-1 nodes, in time order
+    del order
+    # count g(t_k) > c as P_k > t_k (c - W_k) on running sums, in place;
+    # their rounding can only matter where g(t_k) is within rounding of c
+    weights = np.where(first, w1, w2)
+    prefix = weights * times
+    np.cumsum(prefix, out=prefix)
+    np.cumsum(weights, out=weights)
+    weights -= 1.0 - frac  # c - W_k
+    weights *= times
+    k = np.count_nonzero(np.greater(prefix, weights, out=prefix))  # no bool array
+    del prefix, weights
+    # the root's piece from each cause's correctly rounded sum (mask flipped in place)
+    below = first[None, :k]
+    ones = int(np.count_nonzero(below))
+    sum1 = _row_fsums(times[None, :k], below)[0]
+    sum2 = _row_fsums(times[None, :k], np.logical_not(below, out=below))[0]
+    above = w1 * (n - ones) + w2 * (n - (k - ones))
+    bound = float((w1 * sum1 + w2 * sum2) / (frac - above))
     _censor_cache[key] = bound
     return bound
 

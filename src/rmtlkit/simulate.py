@@ -302,19 +302,20 @@ def _chunk_worker(args):
 
 def _map_replicates(spec, seed, reps, pool, phase=_PHASE_MAIN, fixed_tau=None) -> dict:
     """Replicates ``0 .. reps-1`` of ``phase`` in index order, after
-    freeing the heap buffer. ``pool`` is None for one process, or the
-    ``(executor, processes)`` pair of ``_pool``; one plan serves both.
-    Each process runs ``share`` blocks, the fewest of at most
-    ``_BLOCK_CELLS`` cells or one row that hold its part, and the reps
-    are split evenly over ``share * processes`` blocks, or one per rep.
-    This process runs the first share, which holds the lowest indices,
-    so the first degenerate row in index order still raises; each pool
-    worker gets its share as one work item."""
+    calibrating and freeing the heap buffer. ``pool`` is None for one
+    process, or the ``(executor, processes)`` pair of ``_pool``; one plan
+    serves both. Each process runs ``share`` blocks, the fewest of at most
+    ``_BLOCK_CELLS`` cells or one row that hold its part, and the reps are
+    split evenly over ``share * processes`` blocks, or one per rep. This
+    process runs the first share, which holds the lowest indices, so the
+    first degenerate row in index order still raises; each pool worker gets
+    its share as one work item."""
     executor, processes = pool or (None, 1)
     rows = max(1, _BLOCK_CELLS // (spec.n0 + spec.n1))
     share = -(-reps // (rows * processes))
     count = min(share * processes, reps)
     blocks = [range(k * reps // count, (k + 1) * reps // count) for k in range(count)]
+    _bounds_for(spec)  # before the buffer, off the blocks' heap, and before workers fork
     np.empty(_HEAP_FLOATS * max(_BLOCK_CELLS, 3 * (spec.n0 + spec.n1)))  # freed at once
     jobs = [(spec, seed, block, phase, fixed_tau) for block in blocks]
     # Executor.map submits every work item before this process starts on its
@@ -344,7 +345,6 @@ def _pool(spec: ScenarioSpec, workers: int):
     if processes <= 1:
         yield None
         return
-    _bounds_for(spec)  # calibrate here, so forked workers inherit the cached bounds
     with ProcessPoolExecutor(max_workers=processes - 1) as executor:
         yield executor, processes
 

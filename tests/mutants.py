@@ -114,6 +114,24 @@ MUTANTS = [
         "event = cause * (times < c)",
         None,
     ),
+    (
+        "calibration-weights-swapped", "scenarios.py",
+        "w1, w2 = share / n, (1.0 - share) / n",
+        "w1, w2 = (1.0 - share) / n, share / n",
+        None,
+    ),
+    (
+        "calibration-root-node-off", "scenarios.py",
+        "k = np.count_nonzero(np.greater(prefix, weights, out=prefix))",
+        "k = np.count_nonzero(np.greater(prefix, weights, out=prefix)) - 1",
+        None,
+    ),
+    (
+        "calibration-nodes-left-ends", "scenarios.py",
+        "u = (np.arange(n) + 0.5) / n",
+        "u = np.arange(n) / n",
+        None,
+    ),
 ]
 
 

@@ -20,7 +20,9 @@ For the simulation engine's draws it keeps two references: numpy's own
 generator for substream ``(phase, index)`` of a seed (``rng_for``),
 which the engine's ported substream seeding must equal, and the
 gather-based draw transform (``failure_times``, ``cum_hazard_inverse``
-and ``observe``) that the engine's whole-array one replaced.
+and ``observe``) that the engine's whole-array one replaced, with the
+per-arm layout of a replicate's substream built on them
+(``substream_arm``).
 """
 
 import math
@@ -32,7 +34,7 @@ from scipy.special import chdtrc
 from rmtlkit import DegenerateTestError, EventTable, GrayResult, GroupSample
 from rmtlkit.data import EVENT_CENSORED, EVENT_COMPETING, EVENT_INTEREST
 from rmtlkit.estimators import CifPair
-from rmtlkit.scenarios import _PIECES, _THETA, _cause1_share
+from rmtlkit.scenarios import _PIECES, _THETA, _cause1_share, calibrate_censoring
 
 
 # each curve's value before the first event time
@@ -348,4 +350,17 @@ def observe(spec, group: int, u: np.ndarray, bound) -> tuple:
     if bound is None:
         return times, cause
     c = bound * u[2]
+    return np.minimum(times, c), np.where(times <= c, cause, 0)
+
+
+def substream_arm(spec, group: int, n: int, rng) -> tuple:
+    """One arm as the substream contract lays it out: n cause uniforms,
+    n failure-time uniforms, then n censoring uniforms drawn by
+    ``rng.uniform`` when the arm is censored."""
+    cause = np.where(rng.random(n) < _cause1_share(spec, group), 1, 2).astype(np.int64)
+    times = failure_times(spec, group, cause, rng.random(n))
+    bound = calibrate_censoring(spec, spec.censor_target, group)
+    if bound is None:
+        return times, cause
+    c = rng.uniform(0.0, bound, n)
     return np.minimum(times, c), np.where(times <= c, cause, 0)

@@ -162,19 +162,6 @@ def test_degenerate_row_raises_the_scalar_error(gray):
     assert str(block.value) == str(scalar.value)
 
 
-def substream_arm(spec, group, n, rng):
-    """One arm as the substream contract lays it out: n cause uniforms,
-    n failure-time uniforms, then n censoring uniforms drawn by
-    ``rng.uniform`` when the arm is censored."""
-    bound = simulate._bounds_for(spec)[group]
-    cause, times = scenarios._draw_failures(spec, group, n, rng)
-    cause = cause.astype(np.int64)  # the event-code dtype of generate_group and a block
-    if bound is None:
-        return times, cause
-    c = rng.uniform(0.0, bound, n)
-    return np.minimum(times, c), np.where(times <= c, cause, 0)
-
-
 def test_block_draw_keeps_the_substream_layout(monkeypatch):
     # the subjects a block hands the kernel, and the state the block's
     # generator is left in after each row's fill, match per-row
@@ -210,7 +197,7 @@ def test_block_draw_keeps_the_substream_layout(monkeypatch):
                     ref = oracle.rng_for(SEED, simulate._PHASE_POWER, i)
                     for g, cols in ((0, slice(0, n0)), (1, slice(n0, n0 + n1))):
                         sample = generate_group(spec, g, cols.stop - cols.start, rng)
-                        want = substream_arm(spec, g, cols.stop - cols.start, ref)
+                        want = oracle.substream_arm(spec, g, cols.stop - cols.start, ref)
                         for got in ((sample.time, sample.event), (t[r, cols], e[r, cols])):
                             assert got[0].tobytes() == want[0].tobytes(), (sid, cr, i, g)
                             assert got[1].tobytes() == want[1].tobytes(), (sid, cr, i, g)

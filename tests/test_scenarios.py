@@ -173,71 +173,99 @@ def test_calibrate_censoring_targets():
             assert abs(rate - target / 100.0) < 0.01, (sid, group, rate)
 
 
-# The bounds of the former Brent root search (scipy's float) at p1 = 0.7,
-# in scenario (A-F), arm, target (15/30/45%) order.
-BRENT_BOUNDS = [
-    6.705918876004102, 3.2213633630455516, 1.899499136964916,
-    6.6448909291094616, 3.1890060299654945, 1.880614132106705,
-    6.705918876004102, 3.2213633630455516, 1.899499136964916,
-    7.981430535433113, 3.8325961997996787, 2.267108432461727,
-    6.705918876004102, 3.2213633630455516, 1.899499136964916,
-    8.569677315119396, 4.105829186766749, 2.4246666288949728,
-    10.335187236356449, 5.166041311744482, 3.377070879751348,
-    13.110441390004693, 6.555189188420485, 4.361737789410753,
-    11.857221696722927, 5.928437530790119, 3.9304344198469985,
-    20.15247949300378, 9.608471987477754, 5.734658374205255,
-    11.857221696722927, 5.928437530790119, 3.9304344198469985,
-    16.970522501694088, 7.967113168082861, 4.698900060905934,
-]
+def _survival(spec, group, t):
+    """Closed-form latent survival 1 - F1 - F2 of one arm."""
+    if spec.id in _THETA and group == 1:
+        theta = _THETA[spec.id]
+        return 1.0 - sdh_cause1_cif(spec.p1, theta, t) - sdh_cause2_cif(spec.p1, theta, t)
+    if spec.id in ("A", "B", "C"):
+        return np.exp(-t)
+    return 1.0 - piecewise_cdf(_PIECES[spec.id][group], t)
+
+
+def _population_bound(spec, group, c):
+    """The root b of int_0^b S(t) dt / b = c, by quad and brentq."""
+
+    def excess(b):
+        kinks = [k for k in (1.0, 2.0) if k < b] or None
+        area = quad(lambda t: float(_survival(spec, group, t)), 0.0, b, points=kinks, limit=200)
+        return area[0] / b - c
+
+    return brentq(excess, 1e-6, 200.0, xtol=1e-13)
 
 
 def test_calibrated_bounds_match_the_brent_root(monkeypatch):
-    # the closed-form root is the same bound as the former root search,
-    # to well inside its xtol, and always a Python float
+    # the bound is the population root of E[min(T, b)] / b = c, with the
+    # survival of T in closed form, to 2e-6 relative in every cell, and
+    # always a Python float
     monkeypatch.setattr(scenarios, "_censor_cache", {})
-    bounds = [
-        calibrate_censoring(scenario(sid, 10, 10, target), target, group)
-        for sid in "ABCDEF" for group in (0, 1) for target in (15, 30, 45)
-    ]
-    assert [type(b) for b in bounds] == [float] * 36
-    for got, want in zip(bounds, BRENT_BOUNDS):
-        assert abs(got - want) <= 1e-11 * want, (got, want)
-
-
-def test_calibrated_rate_is_exact_on_the_calibration_draws(monkeypatch):
-    # on the calibration draws themselves, mean(min(T, b)) / b, summed
-    # exactly, is the target rate up to rounding in every cell
-    monkeypatch.setattr(scenarios, "_censor_cache", {})
-    for p1 in (0.7, 1.0, 0.3):
-        for sid in "ABCDEF":
+    for p1 in (0.3, 0.7, 1.0):
+        for sid in SCENARIO_IDS:
             for group in (0, 1):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=scenarios._CAL_SEED, spawn_key=(group,))
-                )
-                spec = scenario(sid, 10, 10, 0, p1)
-                _, draws = scenarios._draw_failures(spec, group, scenarios._CAL_DRAWS, rng)
                 for target in (15, 30, 45):
                     spec = scenario(sid, 10, 10, target, p1)
-                    b = calibrate_censoring(spec, target, group)
-                    rate = math.fsum(np.minimum(draws, b).tolist()) / (draws.size * b)
+                    got = calibrate_censoring(spec, target, group)
+                    want = _population_bound(spec, group, target / 100)
+                    assert type(got) is float
+                    assert abs(got - want) <= 2e-6 * want, (p1, sid, group, target, got, want)
+
+
+def test_calibrated_rate_is_exact_on_the_quantile_nodes(monkeypatch):
+    # on the nodes themselves, each cause's quantile at (i + 1/2) / N
+    # weighted P(cause) / N, sum(w min(t, b)) / b, summed exactly, is the
+    # target rate up to rounding in every cell
+    monkeypatch.setattr(scenarios, "_censor_cache", {})
+    n = scenarios._CAL_POINTS
+    u = (np.arange(n) + 0.5) / n
+    for p1 in (0.7, 1.0, 0.3):
+        for sid in SCENARIO_IDS:
+            for group in (0, 1):
+                spec = scenario(sid, 10, 10, 0, p1)
+                share = scenarios._cause1_share(spec, group)
+                nodes = np.concatenate(
+                    [scenarios._failure_times(spec, group, cause, u) for cause in (1, 2)]
+                )
+                weights = np.repeat([share / n, (1.0 - share) / n], n)
+                for target in (15, 30, 45):
+                    b = calibrate_censoring(scenario(sid, 10, 10, target, p1), target, group)
+                    rate = math.fsum((weights * np.minimum(nodes, b)).tolist()) / b
                     c = target / 100
                     assert abs(rate - c) <= 4 * math.ulp(c), (p1, sid, group, target, rate)
 
 
-@pytest.mark.parametrize("sid, group, arrays", [("D", 0, 4.5), ("D", 1, 4.5), ("C", 1, 3.5)])
-def test_calibration_peak_memory(monkeypatch, sid, group, arrays):
-    # calibration holds its latent draw plus at most a few temporaries of
-    # _CAL_DRAWS floats: the cause codes take one byte each and the
-    # failure-time uniforms reuse the cause uniforms' buffer
+def test_arms_of_one_law_share_one_bound(monkeypatch):
+    # A's arms, and B's and C's control arms, are one exponential law, and
+    # E's and F's control arms one Weibull: each law gets one bound
+    monkeypatch.setattr(scenarios, "_censor_cache", {})
+    for p1 in (0.3, 0.7, 1.0):
+        for target in (15, 30, 45):
+            bound = {
+                (sid, group): calibrate_censoring(scenario(sid, 10, 10, target, p1), target, group)
+                for sid in SCENARIO_IDS for group in (0, 1)
+            }
+            label = (p1, target)
+            assert bound["A", 0] == bound["A", 1] == bound["B", 0] == bound["C", 0], label
+            assert bound["E", 0] == bound["F", 0], label
+            assert bound["D", 0] != bound["D", 1], label
+
+
+def test_calibration_peak_memory(monkeypatch):
+    # calibration holds at most three arrays of 2N floats at once (the node
+    # times with their order and its gather, then with two running sums,
+    # then with a correctly rounded sum's two temporaries) and a one-byte
+    # mask: below 3.2 such arrays, 3.36 MB at N = 2^16, in every arm and target
     monkeypatch.setattr(scenarios, "_censor_cache", {})
     np.random.default_rng(0)  # numpy.random's own first-use allocations
-    tracemalloc.start()
-    try:
-        calibrate_censoring(scenario(sid, 10, 10, 30), 30, group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= arrays * 8 * scenarios._CAL_DRAWS
+    for sid in SCENARIO_IDS:
+        for group in (0, 1):
+            for target in (15, 30, 45):
+                tracemalloc.start()
+                try:
+                    calibrate_censoring(scenario(sid, 10, 10, target), target, group)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 3.2 * 8 * 2 * scenarios._CAL_POINTS, (sid, group, target, peak)
 
 
 def test_calibrate_censoring_zero_means_none():
