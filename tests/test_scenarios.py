@@ -249,23 +249,42 @@ def test_arms_of_one_law_share_one_bound(monkeypatch):
             assert bound["D", 0] != bound["D", 1], label
 
 
-def test_calibration_peak_memory(monkeypatch):
-    # calibration holds at most three arrays of 2N floats at once (the node
-    # times with their order and its gather, then with two running sums,
-    # then with a correctly rounded sum's two temporaries) and a one-byte
-    # mask: below 3.2 such arrays, 3.36 MB at N = 2^16, in every arm and target
+# calibration holds at most three arrays of 2N floats at once (the node
+# times with their order and its gather, then with two running sums, then
+# with a correctly rounded sum's two temporaries) and a one-byte mask: below
+# 3.2 such arrays, 3.36 MB at N = 2^16
+_CAL_PEAK_BOUND = 3.2 * 8 * 2 * scenarios._CAL_POINTS
+
+
+def _calibration_peaks(monkeypatch, sid, group):
     monkeypatch.setattr(scenarios, "_censor_cache", {})
     np.random.default_rng(0)  # numpy.random's own first-use allocations
+    peaks = {}
+    for target in (15, 30, 45):
+        tracemalloc.start()
+        try:
+            calibrate_censoring(scenario(sid, 10, 10, target), target, group)
+            peaks[target] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+# the heaviest arms when calibration drew 200,000 latent times, with the
+# bound they were held to then in arrays of that many floats: each target
+# fits the node bound, which lies below the old one
+@pytest.mark.parametrize("sid, group, arrays", [("D", 0, 4.5), ("D", 1, 4.5), ("C", 1, 3.5)])
+def test_calibration_peak_memory(monkeypatch, sid, group, arrays):
+    assert _CAL_PEAK_BOUND < arrays * 8 * 200_000
+    for target, peak in _calibration_peaks(monkeypatch, sid, group).items():
+        assert peak <= _CAL_PEAK_BOUND, (target, peak)
+
+
+def test_calibration_peak_memory_on_every_arm(monkeypatch):
     for sid in SCENARIO_IDS:
         for group in (0, 1):
-            for target in (15, 30, 45):
-                tracemalloc.start()
-                try:
-                    calibrate_censoring(scenario(sid, 10, 10, target), target, group)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 3.2 * 8 * 2 * scenarios._CAL_POINTS, (sid, group, target, peak)
+            for target, peak in _calibration_peaks(monkeypatch, sid, group).items():
+                assert peak <= _CAL_PEAK_BOUND, (sid, group, target, peak)
 
 
 def test_calibrate_censoring_zero_means_none():
