@@ -35,18 +35,23 @@ class DesignInput:
     power: float = 0.8
 
     def __post_init__(self):
-        if math.isnan(self.delta):
-            raise InputError("delta must be a number")
+        _check_inputs(self.delta, self.sigma0_sq, self.sigma1_sq, self.ratio, self.alpha)
         if self.delta == 0:
             raise InfeasibleDesignError("delta must be nonzero")
-        if not 0 < self.sigma0_sq < math.inf or not 0 < self.sigma1_sq < math.inf:
-            raise InputError("variances must be positive and finite")
-        if not 0 < self.ratio < math.inf:
-            raise InputError("ratio must be positive and finite")
-        if not 0 < self.alpha < 1:
-            raise InputError("alpha must lie in (0, 1)")
         if not 0 < self.power < 1:
             raise InputError("power must lie in (0, 1)")
+
+
+def _check_inputs(delta, sigma0_sq, sigma1_sq, ratio, alpha):
+    """The ``InputError`` checks that ``DesignInput`` and ``power_at`` share."""
+    if not math.isfinite(delta):
+        raise InputError("delta must be finite")
+    if not 0 < sigma0_sq < math.inf or not 0 < sigma1_sq < math.inf:
+        raise InputError("variances must be positive and finite")
+    if not 0 < ratio < math.inf:
+        raise InputError("ratio must be positive and finite")
+    if not 0 < alpha < 1:
+        raise InputError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -114,15 +119,12 @@ def power_at(
 
     Evaluates Phi(|delta| / sqrt(sigma0^2/n0 + sigma1^2/n1) - z_{1-alpha/2}),
     the one-sided approximation of the two-sided rejection probability.
-    An n0 below 2, a ratio outside (0, inf) or an alpha outside (0, 1)
-    raises ``InputError``, as ``DesignInput`` does.
+    An n0 below 2, and any input ``DesignInput`` rejects as ``InputError``,
+    raises that error here too; a zero delta gives power alpha / 2.
     """
     if n0 < 2:
         raise InputError("n0 must be at least 2")
-    if not 0 < ratio < math.inf:
-        raise InputError("ratio must be positive and finite")
-    if not 0 < alpha < 1:
-        raise InputError("alpha must lie in (0, 1)")
+    _check_inputs(delta, sigma0_sq, sigma1_sq, ratio, alpha)
     n1 = ratio * n0
     se = math.sqrt(sigma0_sq / n0 + sigma1_sq / n1)
     za = _ndtri(1.0 - alpha / 2.0)

@@ -20,11 +20,11 @@ Every replicate draws from its own counter-derived substream, the numpy
 PCG64 that SeedSequence(seed, spawn_key=(phase, index)) seeds: per arm,
 control first, n cause, then n failure-time, then (when censored) n
 censoring uniforms. numpy's SeedSequence mixes the seed and phase words
-a block shares, once per block; the engine ports only the per-index
-step, each row's in one array pass (``_pcg64_states``), bit-identical to
-the row's SeedSequence, and makes no SeedSequence per replicate. Results
-do not depend on the worker count, execution order or block shape, and
-every metric carries a Monte-Carlo SE.
+a block shares, once per block; the engine ports only its per-index
+step, each row's in one array pass (``_substream_words``), and numpy
+seeds each row's PCG64 from the words, bit-identical to the row's
+SeedSequence. Results do not depend on the worker count, execution
+order or block shape, and every metric carries a Monte-Carlo SE.
 
 This module owns the draws and the restriction-time rule only. One
 plan cuts each phase's replicates, serial or pooled: each process runs
@@ -42,6 +42,7 @@ CPU: the pool holds the others, so ``workers=2`` forks one process.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -165,13 +166,11 @@ class SimulationReport:
         ]
 
 
-# numpy's SeedSequence mixing (O'Neill's seed_seq_fe) and PCG64 seeding
+# numpy's SeedSequence mixing (O'Neill's seed_seq_fe)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(value, const: int, mult: int):
@@ -184,17 +183,15 @@ def _hashmix(value, const: int, mult: int):
     return value ^ value >> 16, const
 
 
-def _pcg64_states(seed: int, phase: int, indices) -> list:
-    """The PCG64 ``.state`` of substream ``(phase, i)`` of ``seed`` for each
-    ``i`` in ``indices``: what ``PCG64(SeedSequence(seed, spawn_key=(phase,
-    i)))`` holds, bit for bit, for indices below 2^32.
+def _substream_words(seed: int, phase: int, indices) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(phase, i)).generate_state(4,
+    np.uint64)`` bit for bit, as row ``r`` for ``i = indices[r]`` below
+    2^32: the words numpy seeds that substream's PCG64 from.
 
     seed_seq_fe mixes entropy words in order, so numpy's
     ``SeedSequence(seed, spawn_key=(phase,))`` holds the pool every row
     shares. Only the per-index step is ported: each row's index word and
-    ``generate_state(4, uint64)``'s eight output hashes, mixed across the
-    block as uint64 arrays, then the 128-bit LCG seeding step
-    (``pcg64_srandom_r``) per row.
+    the eight output hashes, mixed across the block as uint64 arrays.
     """
     if len(indices) and not 0 <= min(indices) <= max(indices) <= _MASK32:
         # a larger index is two spawn-key words, a different substream
@@ -209,26 +206,29 @@ def _pcg64_states(seed: int, phase: int, indices) -> list:
         hashed, const = _hashmix(index, const, _MULT_A)
         value = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
         pool[dst] = value ^ value >> 16
-    const, out = _INIT_B, []
+    # each uint64 word is two output hashes, the low 32 bits first
+    const, out = _INIT_B, np.zeros((index.size, 4), dtype=np.uint64)
     for k in range(8):
         word, const = _hashmix(pool[k % 4], const, _MULT_B)
-        out.append(word)
-    # generate_state's uint64 words, low 32-bit word first: the initial
-    # state's high and low halves, then the stream's
-    state_hi, state_lo, seq_hi, seq_lo = (
-        (out[k] | out[k + 1] << 32).tolist() for k in (0, 2, 4, 6)
-    )
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
+        out[:, k // 2] |= word << 32 * (k % 2)
+    return out
+
+
+@functools.cache
+def _seed_words():
+    """The ``ISeedSequence`` type that hands ``PCG64`` one row of
+    ``_substream_words``; made on first use, so that loading this module
+    loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _replicate_block(
@@ -242,9 +242,10 @@ def _replicate_block(
 
     Row ``r`` draws ``spec.n0``/``spec.n1`` subjects from substream
     ``(phase, indices[r])`` of ``seed`` (indices below 2^32): the stream of
-    numpy's ``SeedSequence(seed, spawn_key=(phase, indices[r]))``, set
-    from ``_pcg64_states``: one SeedSequence of the block's shared seed
-    and phase words, and the per-index step across the rows. It tests the
+    numpy's ``SeedSequence(seed, spawn_key=(phase, indices[r]))``. The
+    block makes one SeedSequence of its shared seed and phase words,
+    ``_substream_words`` runs the per-index step across the rows, and
+    numpy seeds each row's PCG64 from that row's words. It tests the
     RMTL difference at ``fixed_tau`` or, without one, at the min-max
     restriction time.
     Gray's test runs only where a study reads it: at the min-max
@@ -267,13 +268,9 @@ def _replicate_block(
     # censoring planes, then arm 1's, the order generate_group draws them
     planes = [2 if bounds[g] is None else 3 for g in (0, 1)]
     u = np.empty((rows, planes[0] * n0 + planes[1] * n1))
-    # one generator per block, set to each row's substream in turn; made
-    # here, not at import, so that loading this module loads no numpy.random
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for r, state in enumerate(_pcg64_states(seed, phase, indices)):
-        bit_generator.state = state
-        generator.random(out=u[r])
+    seed_words = _seed_words()
+    for r, words in enumerate(_substream_words(seed, phase, indices)):
+        np.random.Generator(np.random.PCG64(seed_words(words))).random(out=u[r])
     t = np.empty((rows, n0 + n1))
     e = np.empty((rows, n0 + n1), dtype=np.int64)
     arm0 = u[:, : planes[0] * n0].reshape(rows, planes[0], n0).transpose(1, 0, 2)

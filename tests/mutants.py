@@ -91,6 +91,18 @@ MUTANTS = [
         None,
     ),
     (
+        "seed-word-halves-swapped", "simulate.py",
+        "out[:, k // 2] |= word << 32 * (k % 2)",
+        "out[:, k // 2] |= word << 32 * (1 - k % 2)",
+        None,
+    ),
+    (
+        "seed-state-stream-swapped", "simulate.py",
+        "out[:, k // 2] |= word << 32 * (k % 2)",
+        "out[:, k // 2 ^ 2] |= word << 32 * (k % 2)",
+        None,
+    ),
+    (
         "segment-ends-at-next-group", "inference.py",
         "np.concatenate((next_event[:, 1:],",
         "np.concatenate((times[:, 1:],",

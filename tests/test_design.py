@@ -125,10 +125,13 @@ def test_power_uses_absolute_delta():
     {"n0": 1},
     {"ratio": 0.0}, {"ratio": -1.0}, {"ratio": float("inf")}, {"ratio": float("nan")},
     {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 1.5}, {"alpha": float("nan")},
+    {"delta": float("inf")}, {"delta": -float("inf")}, {"delta": float("nan")},
+    {"sigma0_sq": -1.0}, {"sigma0_sq": 0.0}, {"sigma0_sq": float("inf")},
+    {"sigma0_sq": float("nan")}, {"sigma1_sq": 0.0}, {"sigma1_sq": float("inf")},
 ])
 def test_power_at_rejects_what_design_input_rejects(options):
     with pytest.raises(InputError):
-        power_at(0.5, 1.0, 1.0, **{"n0": 63, **options})
+        power_at(**{"delta": 0.5, "sigma0_sq": 1.0, "sigma1_sq": 1.0, "n0": 63, **options})
 
 
 def test_estimate_sigma_sq_definition():

@@ -1,7 +1,9 @@
 """The simulation engine's draws against their references in
-``scalar_oracle.py``: the ported substream seeding against numpy's own
-``SeedSequence`` and ``PCG64``, and the whole-array draw transform
-against the gather-based one it replaced. Both must match bit for bit."""
+``scalar_oracle.py``: the substream words of the ported per-index
+SeedSequence step against numpy's own ``SeedSequence``, and the PCG64
+numpy seeds from them against the substream's generator; and the
+whole-array draw transform against the gather-based one it replaced.
+All must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -21,17 +23,18 @@ INDICES = [*range(41), 65535, 2**31, 2**32 - 1]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substream_states_match_numpy(seed):
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    seed_words = simulate._seed_words()
     for phase in range(3):
-        states = simulate._pcg64_states(seed, phase, INDICES)
-        assert len(states) == len(INDICES)
-        for i, state in zip(INDICES, states):
+        words = simulate._substream_words(seed, phase, INDICES)
+        assert words.dtype == np.uint64 and words.shape == (len(INDICES), 4)
+        for i, row in zip(INDICES, words):
+            ss = np.random.SeedSequence(seed, spawn_key=(phase, i))
+            assert row.tobytes() == ss.generate_state(4, np.uint64).tobytes(), (seed, phase, i)
+            generator = np.random.Generator(np.random.PCG64(seed_words(row)))
             ref = oracle.rng_for(seed, phase, i)
-            assert state == ref.bit_generator.state, (seed, phase, i)
-            bit_generator.state = state
+            assert generator.bit_generator.state == ref.bit_generator.state, (seed, phase, i)
             assert generator.random(5).tobytes() == ref.random(5).tobytes(), (seed, phase, i)
-            assert bit_generator.state == ref.bit_generator.state, (seed, phase, i)
+            assert generator.bit_generator.state == ref.bit_generator.state, (seed, phase, i)
 
 
 def test_substream_index_out_of_range_raises():
@@ -39,12 +42,12 @@ def test_substream_index_out_of_range_raises():
     # substream layout, so it must not be seeded as if it were one
     for indices in ([2**32], [0, 2**32 + 5], [-1]):
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            simulate._pcg64_states(3, 0, indices)
+            simulate._substream_words(3, 0, indices)
     with pytest.raises(ValueError):
-        simulate._pcg64_states(-1, 0, [0])
+        simulate._substream_words(-1, 0, [0])
     with pytest.raises(ValueError):
         simulate._replicate_block(scenario("C", 5, 5), 3, [2**32])
-    assert simulate._pcg64_states(3, 0, []) == []
+    assert simulate._substream_words(3, 0, []).shape == (0, 4)
 
 
 def test_warm_block_makes_one_seed_sequence(monkeypatch):
