@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -55,8 +57,10 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_SIMULATION = 4
 
-_CURVE_SLICE = 1 << 14  # curve-file rows rendered per write
-
+# curve-file rows rendered per write: 4,096 values, whose formatter
+# temporaries (under 1 MB) stay below the peak of the analysis before them
+_CURVE_SLICE = 1 << 10
+_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
 
 def _digest(path) -> str:
     h = hashlib.sha256()
@@ -131,26 +135,132 @@ def _curve_path(base, group: int) -> Path:
     return base.with_name(f"{base.stem}_group{group}{base.suffix or '.csv'}")
 
 
+@functools.cache
+def _text_tables():
+    """``_curve_text``'s tables, built on first use: Schubfach's g =
+    floor(10^e / 2^r) + 1 in [2^125, 2^126), e = -k = 0..20, as the 32-bit
+    limbs of g >> 63 and g mod 2^63; 10^0..10^18; 0000..9999 as ASCII
+    words; the mask of bytes [start, stop) of a cell at start * 40 + stop."""
+    g = [(10**e << 125 - (e * 913124641741 >> 38)) + 1 for e in range(21)]
+    limbs = np.array([[x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32] for x in g], np.uint64).T
+    p10 = 10 ** np.arange(19, dtype=np.int64)
+    words = np.frombuffer("".join(map("{:04}".format, range(10_000))).encode(), "<u4")
+    col = np.arange(40)
+    return limbs, p10, words, ((col >= col[:, None, None]) & (col < col[:, None])).reshape(-1, 40)
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit limbs."""
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32)
+
+
+def _rop(g, cp):
+    """floor(g cp / 2^127), rounded to odd: its last bit is set if any
+    bit below was (Schubfach's ``rop``)."""
+    g11, g10, g01, g00 = g
+    c1, c0 = cp >> 32, cp & _M32
+    z = ((g11 << 32 | g10) * cp >> 1) + _mulhi(g01, g00, c1, c0)
+    return _mulhi(g11, g10, c1, c0) + (z >> 63) | ((z & _M63) != 0)
+
+
+def _shortest(x, limbs):
+    """Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
+    for ``x`` in [2^-14, 2^54), the d and k in [-20, 0] of the shortest
+    d 10^k that rounds to x, nearest x, with an even d on a tie: ``repr``'s
+    digits, and Ryu's (U. Adams, PLDI 2018). d may end in zeros."""
+    bits = x.view(np.uint64)
+    c = bits & (1 << 52) - 1
+    regular = c != 0  # x is not a power of two, so its interval is symmetric
+    c |= 1 << 52
+    q = (bits >> 52).view(np.int64) - 1075
+    k = q * 661971961083 - 274743187321 * ~regular >> 41  # floor(log10 of 2^q, or 3/4 2^q)
+    h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)
+    out, cb = c & 1, c << 2  # the interval excludes its ends when c is odd
+    # 4 x 10^-k and the ends of x's rounding interval, one row each
+    v = _rop(limbs[:, -k], np.stack((cb, cb - 1 - regular, cb + 2)) << h)
+    vb, vbl, vbr = v[0], v[1] + out, v[2] - out
+    s = vb >> 2
+    sp = s // 10 * 10  # the candidates one digit shorter: sp and sp + 10
+    upin, wpin = vbl <= sp << 2, sp + 10 << 2 <= vbr
+    uin, win = vbl <= s << 2, s + 1 << 2 <= vbr
+    mid = s << 2 | 2
+    pick_s = np.where(uin != win, uin, (vb < mid) | (vb == mid) & ((s & 1) == 0))
+    d = np.where(upin != wpin, np.where(upin, sp, sp + 10), s + ~pick_s)
+    return d.view(np.int64), k
+
+
+def _curve_text(block) -> bytes:
+    """The rows of a float64 ``block`` as curve-file text: each value its
+    ``repr``, a comma between values and CR LF after each row.
+
+    Values in [1e-4, 1e16) and +0.0, which ``repr`` writes positionally,
+    get a 40-byte cell in numpy: 16 integer digits, the point and 20
+    fraction digits from 4-digit ASCII words, then the separator after the
+    last fraction digit; one boolean compaction keeps each cell's text.
+    Any other value (negative, -0.0, below 1e-4, from 1e16, not finite)
+    is written by ``repr`` into its cell."""
+    limbs, p10, words, keep_run = _text_tables()
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    fast = (x >= 1e-4) & (x < 1e16) | (x.view(np.uint64) == 0)
+    y = np.where(fast, x, 0.0)
+    d, k = _shortest(np.where(y > 0, y, 2.0**53), limbs)  # k = 0 at 2^53
+    d[y == 0] = 0
+    whole = y.astype(np.int64)
+    frac = d - whole * p10[np.minimum(-k, 18)]  # the -k digits after the point
+    lead = np.maximum(-k - 3, 0)
+    top = frac // p10[lead]
+    rest = (frac - top * p10[lead]) * p10[np.minimum(20 + k, 17)]
+    top *= p10[np.maximum(3 + k, 0)]
+    for p in (16, 8, 4, 2, 1):  # trailing zeros of d
+        cut = d // p10[p]
+        exact = cut * p10[p] == d
+        d = np.where(exact, cut, d)
+        k += p * exact
+    # a cell keeps [16 - integer digits, 17 + fraction digits] and its separator
+    start = 16 - np.maximum(np.searchsorted(p10, whole, "right"), 1)
+    ends = 17 + np.maximum(-k, 1)
+    cells = np.empty((x.size, 40), np.uint8)
+    cell_words = cells.view("<u4")
+    high, tens, upper = whole // 10**8, rest // 10, rest // 10**9
+    for i, part in ((0, high), (2, whole - high * 10**8), (5, upper), (7, tens - upper * 10**8)):
+        quarter = part // 10**4
+        cell_words[:, i] = words[quarter]
+        cell_words[:, i + 1] = words[part - quarter * 10**4]
+    cell_words[:, 4] = words[top] & 0xFFFFFF00 | ord(".")
+    cells[:, 36] = rest - tens * 10 + ord("0")
+    for i in np.flatnonzero(~fast).tolist():
+        text = repr(float(x[i])).encode()
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+        start[i], ends[i] = 0, len(text)
+    flat = cells.reshape(-1)
+    ends += np.arange(0, flat.size, 40)
+    flat[ends] = ord(",")
+    flat[ends[3::4]] = ord("\r")
+    flat[ends[3::4] + 1] = ord("\n")
+    ends -= np.arange(0, flat.size, 40) - 1
+    ends[3::4] += 1
+    return flat[keep_run[start * 40 + ends].reshape(-1)].tobytes()
+
+
 def _write_curves(base, samples):
     """Write one curve file per sample and return their paths: the header
-    ``time,survival,cif1,cif2``, then the rows of ``curve_rows``, each
-    value its ``repr`` (the shortest round-trip form) and each line ended
-    by CR LF, which are ``csv.writer``'s bytes. Each file is rendered from
-    ``cif_pair``'s arrays and written in slices of ``_CURVE_SLICE`` rows,
-    so the text held at once does not grow with the file."""
+    ``time,survival,cif1,cif2``, a t=0 row, then one row per event time of
+    ``cif_pair``, each value its ``repr`` and each line ended by CR LF
+    (``csv.writer``'s bytes for ``estimators.curve_rows``). ``_curve_text``
+    renders it in slices of ``_CURVE_SLICE`` rows, so its memory does not
+    grow with the file."""
     written = []
     for sample in samples:
         path = _curve_path(base, sample.group)
         pair = cif_pair(sample)
         columns = (pair.table.times, pair.survival, pair.cif1, pair.cif2)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n")
+        with open(path, "wb") as fh:
+            fh.write(b"time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n")
             for start in range(0, pair.table.n_times, _CURVE_SLICE):
-                values = np.column_stack([c[start:start + _CURVE_SLICE] for c in columns])
-                fh.write("%r,%r,%r,%r\r\n" * len(values) % tuple(values.ravel().tolist()))
+                fh.write(_curve_text(np.column_stack([c[start:start + _CURVE_SLICE] for c in columns])))
         written.append(path)
     return written
-
 
 def cmd_analyze(args) -> int:
     if not 0 < args.alpha < 1:  # one-arm files never reach rmtld_test's check
@@ -322,8 +432,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes ``-1e-1`` or ``-inf`` after a flag for an option, not
+    a negative number (only ``-1`` and ``-.5``); this parser reads them too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmtlkit",
         description="Competing-risks analysis with restricted mean time lost",
     )

@@ -68,8 +68,8 @@ def _incidence(d1, d2, y):
 
 
 def curve_rows(pair: CifPair) -> list[tuple[float, float, float, float]]:
-    """Rows (time, survival, cif1, cif2) for curve export: a t=0 row,
-    then one row per event time."""
+    """Rows (time, survival, cif1, cif2): a t=0 row, then one row per event
+    time; the reference rows that the tests compare curve files with."""
     return [(0.0, 1.0, 0.0, 0.0)] + list(
         zip(
             pair.table.times.tolist(),

@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # cheapest first, so that -x stops a killed mutant early
 KERNEL_TESTS = [
+    "tests/test_curve_text.py",
     "tests/test_data.py",
     "tests/test_row_fsums.py",
     "tests/test_csv_clean.py",
@@ -142,6 +143,24 @@ MUTANTS = [
         "calibration-nodes-left-ends", "scenarios.py",
         "u = (np.arange(n) + 0.5) / n",
         "u = np.arange(n) / n",
+        None,
+    ),
+    (
+        "shortest-no-sticky-bit", "cli.py",
+        "return _mulhi(g11, g10, c1, c0) + (z >> 63) | ((z & _M63) != 0)",
+        "return _mulhi(g11, g10, c1, c0) + (z >> 63)",
+        None,
+    ),
+    (
+        "shortest-ties-to-odd", "cli.py",
+        "(vb == mid) & ((s & 1) == 0)",
+        "(vb == mid) & ((s & 1) == 1)",
+        None,
+    ),
+    (
+        "shortest-no-shorter-candidate", "cli.py",
+        "d = np.where(upin != wpin,",
+        "d = np.where(False,",
         None,
     ),
 ]

@@ -506,6 +506,25 @@ def test_samplesize_infinite_delta_exit_2(tmp_path, capsys):
     assert not js.exists()
 
 
+def test_samplesize_negative_exponent_delta(capsys):
+    # argparse alone reads "-1e-1" as an option and exits 2
+    assert main(["samplesize", "--delta", "-0.1", "--sigma0-sq", "1", "--sigma1-sq", "1"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["samplesize", "--delta", "-1e-1", "--sigma0-sq", "1", "--sigma1-sq", "1"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_samplesize_negative_infinite_delta_exit_2(capsys):
+    assert main(["samplesize", "--delta", "-inf", "--sigma0-sq", "1", "--sigma1-sq", "1"]) == 2
+    assert "delta must be finite" in capsys.readouterr().err
+
+
+def test_analyze_negative_exponent_tau_exit_2(fixture_csv, capsys):
+    assert main(["analyze", str(fixture_csv), "--tau", "-1e0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected one argument" not in err
+
+
 def test_samplesize_conflicting_inputs_exit_2(tmp_path, capsys):
     pilot = tmp_path / "p.csv"
     pilot.write_text("time,event\n1,1\n2,2\n3,1\n")
