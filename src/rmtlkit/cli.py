@@ -62,6 +62,7 @@ EXIT_SIMULATION = 4
 _CURVE_SLICE = 1 << 10
 _M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
 
+
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -142,11 +143,14 @@ def _text_tables():
     limbs of g >> 63 and g mod 2^63; 10^0..10^18; 0000..9999 as ASCII
     words; the mask of bytes [start, stop) of a cell at start * 40 + stop."""
     g = [(10**e << 125 - (e * 913124641741 >> 38)) + 1 for e in range(21)]
-    limbs = np.array([[x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32] for x in g], np.uint64).T
+    limbs = np.array(
+        [[x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32] for x in g], np.uint64
+    ).T
     p10 = 10 ** np.arange(19, dtype=np.int64)
     words = np.frombuffer("".join(map("{:04}".format, range(10_000))).encode(), "<u4")
     col = np.arange(40)
-    return limbs, p10, words, ((col >= col[:, None, None]) & (col < col[:, None])).reshape(-1, 40)
+    keep_run = (col >= col[:, None, None]) & (col < col[:, None])
+    return limbs, p10, words, keep_run.reshape(-1, 40)
 
 
 def _mulhi(a1, a0, b1, b0):
@@ -174,7 +178,8 @@ def _shortest(x, limbs):
     regular = c != 0  # x is not a power of two, so its interval is symmetric
     c |= 1 << 52
     q = (bits >> 52).view(np.int64) - 1075
-    k = q * 661971961083 - 274743187321 * ~regular >> 41  # floor(log10 of 2^q, or 3/4 2^q)
+    # floor(log10 of 2^q, or of 3/4 2^q when x is a power of two)
+    k = q * 661971961083 - 274743187321 * ~regular >> 41
     h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)
     out, cb = c & 1, c << 2  # the interval excludes its ends when c is odd
     # 4 x 10^-k and the ends of x's rounding interval, one row each
@@ -223,7 +228,8 @@ def _curve_text(block) -> bytes:
     cells = np.empty((x.size, 40), np.uint8)
     cell_words = cells.view("<u4")
     high, tens, upper = whole // 10**8, rest // 10, rest // 10**9
-    for i, part in ((0, high), (2, whole - high * 10**8), (5, upper), (7, tens - upper * 10**8)):
+    parts = ((0, high), (2, whole - high * 10**8), (5, upper), (7, tens - upper * 10**8))
+    for i, part in parts:
         quarter = part // 10**4
         cell_words[:, i] = words[quarter]
         cell_words[:, i + 1] = words[part - quarter * 10**4]
@@ -258,9 +264,11 @@ def _write_curves(base, samples):
         with open(path, "wb") as fh:
             fh.write(b"time,survival,cif1,cif2\r\n0.0,1.0,0.0,0.0\r\n")
             for start in range(0, pair.table.n_times, _CURVE_SLICE):
-                fh.write(_curve_text(np.column_stack([c[start:start + _CURVE_SLICE] for c in columns])))
+                rows = np.column_stack([c[start:start + _CURVE_SLICE] for c in columns])
+                fh.write(_curve_text(rows))
         written.append(path)
     return written
+
 
 def cmd_analyze(args) -> int:
     if not 0 < args.alpha < 1:  # one-arm files never reach rmtld_test's check
@@ -433,13 +441,17 @@ def cmd_simulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse takes ``-1e-1`` or ``-inf`` after a flag for an option, not
-    a negative number (only ``-1`` and ``-.5``); this parser reads them too."""
+    """argparse (3.11) takes ``-1e-1`` or ``-inf`` after a flag for an
+    option, not a negative number (only ``-1`` and ``-.5``). This parser
+    also reads them as values, and leaves every other string to argparse,
+    so it accepts whatever argparse itself accepts."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+    _number = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-(inf|infinity|nan)", re.I)
+
+    def _parse_optional(self, arg_string):
+        if self._number.fullmatch(arg_string) and not self._has_negative_number_optionals:
+            return None  # a value, as argparse does with "-1"
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

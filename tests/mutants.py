@@ -25,9 +25,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# cheapest first, so that -x stops a killed mutant early
+# cheapest first, so that -x stops a killed mutant early; the formatter's
+# random cases (about 6 s) run last
 KERNEL_TESTS = [
-    "tests/test_curve_text.py",
+    "tests/test_curve_text.py::test_edge_values_match_repr",
+    "tests/test_curve_text.py::test_only_non_positional_values_reach_repr",
     "tests/test_data.py",
     "tests/test_row_fsums.py",
     "tests/test_csv_clean.py",
@@ -39,6 +41,7 @@ KERNEL_TESTS = [
     "tests/test_simulate.py",
     "tests/test_scenarios.py",
     "tests/test_block.py",
+    "tests/test_curve_text.py::test_random_values_match_repr",
 ]
 
 # (name, file under src/rmtlkit, text, replacement, reason if equivalent)

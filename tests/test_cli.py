@@ -13,7 +13,7 @@ import pytest
 
 import rmtlkit
 from rmtlkit import estimators
-from rmtlkit.cli import main
+from rmtlkit.cli import build_parser, main
 from rmtlkit.data import GroupSample, ingest_csv, ingest_single_group_csv
 from rmtlkit.scenarios import scenario, generate_group
 
@@ -512,6 +512,14 @@ def test_samplesize_negative_exponent_delta(capsys):
     plain = capsys.readouterr().out
     assert main(["samplesize", "--delta", "-1e-1", "--sigma0-sq", "1", "--sigma1-sq", "1"]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("text", ["-1", "-.5", "-1e-1", "-1.5E+2", "-inf", "-Infinity"])
+def test_negative_numbers_after_a_flag_are_values(text):
+    # argparse alone reads only "-1" and "-.5" here; a change in its
+    # option matching shows up as a failure
+    args = build_parser().parse_args(["samplesize", "--delta", text, "--sigma0-sq", "1"])
+    assert args.delta == float(text) and args.sigma0_sq == 1.0
 
 
 def test_samplesize_negative_infinite_delta_exit_2(capsys):
